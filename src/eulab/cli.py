@@ -21,6 +21,7 @@ from . import expand as expand_mod
 from . import identities, permstats, stirlingperm, trees
 from .errors import (
     EngineError,
+    InvalidParamError,
     OutOfRangeError,
     PolyParseError,
     SizeLimitError,
@@ -119,6 +120,8 @@ def _poly_table(name: str, n: int, k: int | None) -> Poly:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     name, n, k = args.name, args.n, args.k
+    if n < 0:
+        raise InvalidParamError(f"--n must be >= 0, got {n}")
     if name in ("eulerian", "second-order", "gamma-nij", "gamma-histogram"):
         header, rows = _integer_table_rows(name, n, k)
         if args.format == "csv":

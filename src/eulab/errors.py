@@ -31,7 +31,7 @@ class InexactDivisionError(EngineError):
 
 
 class InvalidParamError(EngineError):
-    """A closed-form builder received parameters outside its exact domain."""
+    """A closed-form builder or a command received parameters outside their domain."""
 
 
 class NotPalindromicError(EngineError):

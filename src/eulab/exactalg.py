@@ -15,6 +15,7 @@ exact division and symmetric-function reduction routines.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -27,6 +28,9 @@ Rational = Union[int, Fraction]
 Mono = tuple[tuple[str, int], ...]
 
 _ONE: Mono = ()
+
+#: The exact coefficient strings of the wire form: an integer or p/q.
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _norm_coeff(c: Rational) -> Rational:
@@ -419,14 +423,21 @@ class Poly:
             exps = entry["exponents"]
             if not isinstance(exps, dict):
                 raise PolyParseError("exponents must be an object")
+            for v, e in exps.items():
+                if v == "" or type(e) is bool:
+                    raise PolyParseError(f"bad exponent entry {v!r}: {e!r}")
             try:
                 mono = mono_from_exps(exps)
             except ValueError as exc:
                 raise PolyParseError(str(exc)) from exc
+            raw = entry["coeff"]
+            # type() rather than isinstance(): a JSON true must not pass as the int 1
+            if not (type(raw) is int or (isinstance(raw, str) and _COEFF_RE.fullmatch(raw))):
+                raise PolyParseError(f"bad coefficient {raw!r}: need an integer or a p/q string")
             try:
-                coeff = Fraction(entry["coeff"])
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise PolyParseError(f"bad coefficient {entry['coeff']!r}") from exc
+                coeff = Fraction(raw)
+            except ZeroDivisionError as exc:
+                raise PolyParseError(f"bad coefficient {raw!r}") from exc
             if mono in terms:
                 raise PolyParseError(f"duplicate monomial {dict(mono)!r}")
             terms[mono] = coeff

@@ -32,7 +32,7 @@ Counterexample = dict
 class IdentityReport:
     name: str
     params: dict
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "empty" (max_n below the identity's smallest n)
     counterexample: Counterexample | None
     seconds: float
     note: str | None = None
@@ -129,8 +129,6 @@ def _trivariate_egf(max_n: int, k: int | None) -> Counterexample | None:
 
 
 def _trivariate_pde(order: int, k: int | None) -> Counterexample | None:
-    if order < 1:
-        return None
     a = egf_build("trivariate", order)
     x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
     lhs = a.diff_z()
@@ -437,41 +435,46 @@ CheckFn = Callable[[int, "int | None"], "Counterexample | None"]
 @dataclass(frozen=True)
 class _Entry:
     fn: CheckFn
+    min_n: int  # smallest n the check covers; a max_n below it is an empty range
     default_max_n: int
     uses_k: bool = False
     note: str | None = None
 
 
 _REGISTRY: dict[str, _Entry] = {
-    "frobenius": _Entry(_frobenius, 8),
-    "gamma-eulerian": _Entry(_gamma_eulerian, 8),
-    "stembridge": _Entry(_stembridge, 8),
-    "trivariate-grammar": _Entry(_trivariate_grammar, 7),
-    "trivariate-egf": _Entry(_trivariate_egf, 7),
-    "trivariate-pde": _Entry(_trivariate_pde, 8),
-    "partial-gamma": _Entry(_partial_gamma, 7),
-    "forest-gamma": _Entry(_forest_gamma, 7),
-    "convolution": _Entry(_convolution, 7),
-    "diaconis": _Entry(_diaconis, 7),
-    "roselle": _Entry(_roselle, 7),
-    "gamma-xy-closed-form": _Entry(_gamma_xy_closed_form, 7, note=GAMMA_XY_NOTE),
-    "second-order-grammar": _Entry(_second_order_grammar, 6),
-    "chenfu-esym": _Entry(_chenfu_esym, 6),
-    "kth-grammar": _Entry(_kth_grammar, 5, uses_k=True),
-    "mainthm-esym": _Entry(_mainthm_esym, 5, uses_k=True),
-    "histogram-independence": _Entry(_histogram_independence, 6),
-    "gamma-2n-2n": _Entry(_gamma_closed_values, 8),
-    "cn2-closed-form": _Entry(_cn2_closed_form, 20),
-    "final-corollary": _Entry(_final_corollary, 7),
-    "andre": _Entry(_andre, 7),
-    "transform-catalog": _Entry(_transform_catalog, 0, uses_k=True),
+    "frobenius": _Entry(_frobenius, 1, 8),
+    "gamma-eulerian": _Entry(_gamma_eulerian, 1, 8),
+    "stembridge": _Entry(_stembridge, 1, 8),
+    "trivariate-grammar": _Entry(_trivariate_grammar, 0, 7),
+    "trivariate-egf": _Entry(_trivariate_egf, 0, 7),
+    "trivariate-pde": _Entry(_trivariate_pde, 1, 8),
+    "partial-gamma": _Entry(_partial_gamma, 0, 7),
+    "forest-gamma": _Entry(_forest_gamma, 0, 7),
+    "convolution": _Entry(_convolution, 0, 7),
+    "diaconis": _Entry(_diaconis, 1, 7),
+    "roselle": _Entry(_roselle, 1, 7),
+    "gamma-xy-closed-form": _Entry(_gamma_xy_closed_form, 0, 7, note=GAMMA_XY_NOTE),
+    "second-order-grammar": _Entry(_second_order_grammar, 1, 6),
+    "chenfu-esym": _Entry(_chenfu_esym, 1, 6),
+    "kth-grammar": _Entry(_kth_grammar, 1, 5, uses_k=True),
+    "mainthm-esym": _Entry(_mainthm_esym, 1, 5, uses_k=True),
+    "histogram-independence": _Entry(_histogram_independence, 2, 6),
+    "gamma-2n-2n": _Entry(_gamma_closed_values, 2, 8),
+    "cn2-closed-form": _Entry(_cn2_closed_form, 2, 20),
+    "final-corollary": _Entry(_final_corollary, 2, 7),
+    "andre": _Entry(_andre, 0, 7),
+    "transform-catalog": _Entry(_transform_catalog, 0, 0, uses_k=True),
 }
 
 IDENTITY_NAMES = tuple(sorted(_REGISTRY))
 
 
 def verify(name: str, max_n: int | None = None, k: int | None = None) -> IdentityReport:
-    """Run one catalog identity and report pass/fail with timing."""
+    """Run one catalog identity and report pass/fail with timing.
+
+    A ``max_n`` below the identity's smallest n checks nothing, so it is
+    reported with status ``"empty"``, which does not count as passed.
+    """
     entry = _REGISTRY.get(name)
     if entry is None:
         raise UnknownIdentityError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
@@ -479,6 +482,9 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     params = {"max_n": bound}
     if entry.uses_k:
         params["k"] = k
+    if bound < entry.min_n:
+        note = f"empty range: max_n={bound} is below the smallest n checked, {entry.min_n}"
+        return IdentityReport(name, params, "empty", None, 0.0, note=note)
     start = time.perf_counter()
     counterexample = entry.fn(bound, k)
     elapsed = time.perf_counter() - start

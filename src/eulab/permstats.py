@@ -5,6 +5,15 @@ direct counting over S_n (lexicographic order, guarded at n <= 10) or by the
 defining recurrence of a number triangle, never by the grammar or series
 routes it is used to check.
 
+S_n is swept once per n.  ``_perm_table(n)`` checks the enumeration guard,
+then makes one pass that records the joint distribution of
+(des, suc, exc, fix, ddes, ipk, pi(1) > 1) together with the counts by
+succession set and by restricted fixed-point set.  Every weight polynomial
+(``perm_poly``), the set profiles (``diaconis_profile``) and the
+(asc, suc) counts (``asc_suc_counts``) are projections of that cached table.
+Each permutation goes through the lean kernel ``_row``; ``stats`` is the
+separate from-scratch reference the tests compare it with.
+
 Descents/ascents use the boundary-free convention (indices in [n-1]); only
 double descents use the padded convention pi(0) = pi(n+1) = 0, and interior
 peaks use indices 2..n-1.  Anti-excedances run over all of [n] so that
@@ -16,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, SizeLimitError
 from .exactalg import Mono, Poly, mono_from_exps
@@ -24,17 +33,6 @@ from .exactalg import Mono, Poly, mono_from_exps
 MAX_ENUM_N = 10
 MAX_TRIANGLE_N = 60
 MAX_PROFILE_N = 9
-
-FAMILIES = (
-    "eulerian",
-    "trivariate",
-    "fixpoint",
-    "bivariate",
-    "derangement",
-    "no-succession-first-not-1",
-    "gamma-eulerian-no-ddes",
-    "peak",
-)
 
 TRIANGLES = ("stirling2", "eulerian", "second-order-eulerian", "surjection")
 
@@ -117,6 +115,106 @@ def perms(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
+class _Key(NamedTuple):
+    """One key of the joint table.  The other statistics follow from n:
+    asc = n-1-des (0 for n = 0), basc = asc-suc and aexc = n-exc-fix."""
+
+    des: int
+    suc: int
+    exc: int
+    fix: int
+    ddes: int
+    ipk: int
+    first_gt_1: bool
+
+
+def _row(p: tuple[int, ...], n: int) -> tuple[tuple, int, int]:
+    """Joint-table key, succession mask and restricted fixed-point mask of p.
+
+    Bit i of the succession mask marks pi(i+1) = pi(i) + 1; bit i of the
+    fixed-point mask marks pi(i) = i for i <= n-1.  The hot kernel of the
+    sweep: p is trusted to be a permutation of [n] (see ``stats``).
+    """
+    exc = fix = fix_mask = 0
+    i = 0
+    for a in p:
+        i += 1
+        if a > i:
+            exc += 1
+        elif a == i:
+            fix += 1
+            fix_mask |= 1 << i
+    fix_mask &= ~(1 << n)
+    des = suc = ddes = ipk = suc_mask = 0
+    fell = rose = False  # was the previous adjacent pair a descent / an ascent
+    i = 0
+    for a, b in zip(p, p[1:]):
+        i += 1
+        if a > b:
+            des += 1
+            if fell:
+                ddes += 1
+            elif rose:
+                ipk += 1
+            fell, rose = True, False
+        else:
+            if b == a + 1:
+                suc += 1
+                suc_mask |= 1 << i
+            fell, rose = False, True
+    if fell:  # pi(n) > pi(n+1) = 0 completes a double descent at n
+        ddes += 1
+    return (des, suc, exc, fix, ddes, ipk, n > 0 and p[0] > 1), suc_mask, fix_mask
+
+
+def _mask_set(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class _PermTable(NamedTuple):
+    joint: dict[tuple, int]
+    by_suc: dict[frozenset[int], int]
+    by_fix: dict[frozenset[int], int]
+
+
+@lru_cache(maxsize=None)
+def _perm_table(n: int) -> _PermTable:
+    """The one sweep of S_n: joint key counts and the two set profiles."""
+    _guard_enum(n)
+    joint: dict[tuple, int] = {}
+    by_suc: dict[int, int] = {}
+    by_fix: dict[int, int] = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        key, suc_mask, fix_mask = _row(p, n)
+        joint[key] = joint.get(key, 0) + 1
+        by_suc[suc_mask] = by_suc.get(suc_mask, 0) + 1
+        by_fix[fix_mask] = by_fix.get(fix_mask, 0) + 1
+    return _PermTable(
+        joint,
+        {_mask_set(m): c for m, c in by_suc.items()},
+        {_mask_set(m): c for m, c in by_fix.items()},
+    )
+
+
+def _asc(n: int, k: _Key) -> int:
+    return max(n - 1, 0) - k.des
+
+
+#: family -> exponents of one joint-table key at size n, or None to leave it out
+_PROJECTIONS: dict[str, Callable[[int, _Key], "dict[str, int] | None"]] = {
+    "eulerian": lambda n, k: {"x": k.des},
+    "trivariate": lambda n, k: {"x": _asc(n, k) - k.suc, "y": k.des, "s": k.suc},
+    "fixpoint": lambda n, k: {"x": k.exc, "y": n - k.exc - k.fix, "s": k.fix},
+    "bivariate": lambda n, k: {"x": _asc(n, k), "y": k.des + 1},
+    "derangement": lambda n, k: {"x": k.exc} if k.fix == 0 else None,
+    "no-succession-first-not-1": lambda n, k: {"x": k.des} if k.suc == 0 and k.first_gt_1 else None,
+    "gamma-eulerian-no-ddes": lambda n, k: {"x": k.des} if k.ddes == 0 else None,
+    "peak": lambda n, k: {"x": k.ipk},
+}
+
+FAMILIES = tuple(_PROJECTIONS)
+
+
 @lru_cache(maxsize=None)
 def perm_poly(n: int, family: str) -> Poly:
     """Exact weight-sum over S_n for one of the named statistics families.
@@ -130,38 +228,18 @@ def perm_poly(n: int, family: str) -> Poly:
     gamma-eulerian-no-ddes     sum over double-descent-free pi of x^des
     peak                       sum x^(interior peaks)
     """
-    if family not in FAMILIES:
+    project = _PROJECTIONS.get(family)
+    if project is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    _guard_enum(n)
+    joint = _perm_table(n).joint
     if n == 0:
         return Poly.one()
     acc: dict[Mono, int] = {}
-
-    def bump(exps: dict[str, int]) -> None:
-        mono = mono_from_exps(exps)
-        acc[mono] = acc.get(mono, 0) + 1
-
-    for p in itertools.permutations(range(1, n + 1)):
-        st = stats(p)
-        if family == "eulerian":
-            bump({"x": st.des})
-        elif family == "trivariate":
-            bump({"x": st.basc, "y": st.des, "s": st.suc})
-        elif family == "fixpoint":
-            bump({"x": st.exc, "y": st.aexc, "s": st.fix})
-        elif family == "bivariate":
-            bump({"x": st.asc, "y": st.des + 1})
-        elif family == "derangement":
-            if st.fix == 0:
-                bump({"x": st.exc})
-        elif family == "no-succession-first-not-1":
-            if st.suc == 0 and p[0] > 1:
-                bump({"x": st.des})
-        elif family == "gamma-eulerian-no-ddes":
-            if st.ddes == 0:
-                bump({"x": st.des})
-        else:  # peak
-            bump({"x": st.ipk})
+    for key, count in joint.items():
+        exps = project(n, _Key._make(key))
+        if exps is not None:
+            mono = mono_from_exps(exps)
+            acc[mono] = acc.get(mono, 0) + count
     return Poly(acc)
 
 
@@ -224,26 +302,20 @@ def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[
 
     Both mappings are over subsets of [n-1]; the fixed-point mapping ignores
     a fixed point at position n.  The two mappings are claimed (and checked
-    elsewhere) to be equal as whole objects.
+    elsewhere) to be equal as whole objects.  Each call returns fresh dicts.
     """
     if not 1 <= n <= MAX_PROFILE_N:
         raise SizeLimitError(f"profile guard: need 1 <= n <= {MAX_PROFILE_N}")
-    by_suc: dict[frozenset[int], int] = {}
-    by_fix: dict[frozenset[int], int] = {}
-    for p in itertools.permutations(range(1, n + 1)):
-        st = stats(p)
-        by_suc[st.suc_set] = by_suc.get(st.suc_set, 0) + 1
-        by_fix[st.fix_set_restricted] = by_fix.get(st.fix_set_restricted, 0) + 1
-    return by_suc, by_fix
+    table = _perm_table(n)
+    return dict(table.by_suc), dict(table.by_fix)
 
 
 @lru_cache(maxsize=None)
 def asc_suc_counts(n: int) -> dict[tuple[int, int], int]:
     """Joint distribution #{pi : asc = r, suc = s} by direct counting."""
-    _guard_enum(n)
     out: dict[tuple[int, int], int] = {}
-    for p in itertools.permutations(range(1, n + 1)):
-        st = stats(p)
-        key = (st.asc, st.suc)
-        out[key] = out.get(key, 0) + 1
+    for key, count in _perm_table(n).joint.items():
+        k = _Key._make(key)
+        pair = (_asc(n, k), k.suc)
+        out[pair] = out.get(pair, 0) + count
     return out

@@ -51,6 +51,24 @@ class TestVerify:
         assert code == 0
         assert "mainthm-esym: PASS" in out
 
+    def test_empty_range_is_not_a_pass(self, capsys):
+        code, out, _ = run(capsys, ["verify", "frobenius", "--max-n", "-3"])
+        assert code == 1
+        assert "frobenius: EMPTY" in out
+        assert "PASS" not in out
+
+    def test_all_runs_past_empty_ranges(self, capsys):
+        from eulab.identities import IDENTITY_NAMES
+
+        code, out, _ = run(capsys, ["verify", "all", "--max-n", "0", "--json"])
+        assert code == 1
+        status = {r["identity"]: r["status"] for r in json.loads(out)}
+        assert set(status) == set(IDENTITY_NAMES)
+        assert status["frobenius"] == "empty"
+        assert status["cn2-closed-form"] == "empty"
+        assert status["andre"] == "pass"
+        assert status["trivariate-grammar"] == "pass"
+
     def test_all_small_range(self, capsys):
         from eulab.identities import IDENTITY_NAMES
 
@@ -98,6 +116,12 @@ class TestTable:
     def test_size_guard(self, capsys):
         code, _, err = run(capsys, ["table", "gamma-nij", "--n", "50"])
         assert code == 3
+
+    def test_negative_n_is_rejected(self, capsys):
+        code, out, err = run(capsys, ["table", "eulerian", "--n", "-3", "--format", "json"])
+        assert code == 4
+        assert out == ""
+        assert "--n must be >= 0" in err
 
 
 class TestExpand:

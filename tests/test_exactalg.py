@@ -136,6 +136,39 @@ class TestJson:
         with pytest.raises(PolyParseError):
             Poly.from_json('[{"exponents":{"x":1},"coeff":"1/0"}]')
 
+    def test_rejects_float_coefficient(self):
+        # a float would be read as its binary value, 3602879701896397/36028797018963968
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{},"coeff":0.1}]')
+
+    def test_rejects_bool_coefficient(self):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{},"coeff":true}]')
+
+    def test_rejects_bool_exponent(self):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{"x":true},"coeff":"1"}]')
+
+    def test_rejects_decimal_coefficient_string(self):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{},"coeff":"1.5"}]')
+
+    def test_rejects_exponent_notation_coefficient_string(self):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{},"coeff":"1e3"}]')
+
+    def test_rejects_empty_variable_name(self):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{"":1},"coeff":"1"}]')
+
+    def test_accepts_exact_forms(self):
+        text = '[{"exponents":{"x":2},"coeff":"-3/4"},{"exponents":{},"coeff":7}]'
+        assert Poly.from_json(text) == Fraction(-3, 4) * x**2 + 7
+
+    @given(polys())
+    def test_serialization_round_trip(self, p):
+        assert Poly.from_json(p.to_json()).to_json() == p.to_json()
+
 
 class TestRingLaws:
     @given(polys(), polys(), polys())

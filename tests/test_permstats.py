@@ -1,10 +1,14 @@
+import itertools
+import random
 from math import comb, factorial
 
 import pytest
 
 from eulab.errors import OutOfRangeError, SizeLimitError
-from eulab.exactalg import Poly
+from eulab.exactalg import Poly, mono_from_exps
 from eulab.permstats import (
+    FAMILIES,
+    _row,
     asc_suc_counts,
     diaconis_profile,
     eulerian_poly_from_triangle,
@@ -221,3 +225,84 @@ class TestProfilesAndJointCounts:
                     if r - sc >= 0:
                         rhs = comb(n - 1, sc) * asc_suc_counts(n - sc).get((r - sc, 0), 0)
                     assert lhs == rhs, (n, r, sc)
+
+
+def _row_as_stats(p, n):
+    """What ``_row`` computes, in the terms of ``stats``."""
+    key, suc_mask, fix_mask = _row(p, n)
+    as_set = lambda mask: frozenset(i for i in range(n + 1) if mask >> i & 1)
+    return key, as_set(suc_mask), as_set(fix_mask)
+
+
+def _stats_as_row(p, n):
+    st = stats(p)
+    key = (st.des, st.suc, st.exc, st.fix, st.ddes, st.ipk, n > 0 and p[0] > 1)
+    return key, st.suc_set, st.fix_set_restricted
+
+
+def _reference_weights(p, st):
+    """Exponents of p in every family, read off ``stats`` (None: p is left out)."""
+    return {
+        "eulerian": {"x": st.des},
+        "trivariate": {"x": st.basc, "y": st.des, "s": st.suc},
+        "fixpoint": {"x": st.exc, "y": st.aexc, "s": st.fix},
+        "bivariate": {"x": st.asc, "y": st.des + 1},
+        "derangement": {"x": st.exc} if st.fix == 0 else None,
+        "no-succession-first-not-1": {"x": st.des} if st.suc == 0 and p[0] > 1 else None,
+        "gamma-eulerian-no-ddes": {"x": st.des} if st.ddes == 0 else None,
+        "peak": {"x": st.ipk},
+    }
+
+
+class TestOneSweepTable:
+    """The sweep kernel and every projection against ``stats``, the reference."""
+
+    def test_row_agrees_with_stats_exhaustively(self):
+        for n in range(8):
+            for p in itertools.permutations(range(1, n + 1)):
+                assert _row_as_stats(p, n) == _stats_as_row(p, n), p
+
+    def test_row_agrees_with_stats_on_a_sample(self):
+        rng = random.Random(0)
+        for n in (9, 10):
+            for _ in range(2000):
+                p = tuple(rng.sample(range(1, n + 1), n))
+                assert _row_as_stats(p, n) == _stats_as_row(p, n), p
+
+    def test_projections_match_direct_counting(self):
+        for f in FAMILIES:
+            assert perm_poly(0, f) == Poly.one()
+        assert asc_suc_counts(0) == {(0, 0): 1}
+        for n in range(1, 9):
+            terms = {f: {} for f in FAMILIES}
+            by_suc, by_fix, asc_suc = {}, {}, {}
+            for p in itertools.permutations(range(1, n + 1)):
+                st = stats(p)
+                for f, exps in _reference_weights(p, st).items():
+                    if exps is not None:
+                        mono = mono_from_exps(exps)
+                        terms[f][mono] = terms[f].get(mono, 0) + 1
+                by_suc[st.suc_set] = by_suc.get(st.suc_set, 0) + 1
+                by_fix[st.fix_set_restricted] = by_fix.get(st.fix_set_restricted, 0) + 1
+                asc_suc[(st.asc, st.suc)] = asc_suc.get((st.asc, st.suc), 0) + 1
+            for f in FAMILIES:
+                assert perm_poly(n, f) == Poly(terms[f]), (n, f)
+            assert diaconis_profile(n) == (by_suc, by_fix), n
+            assert asc_suc_counts(n) == asc_suc, n
+
+    def test_profile_returns_fresh_dicts(self):
+        by_suc, by_fix = diaconis_profile(5)
+        expected = (dict(by_suc), dict(by_fix))
+        by_suc[frozenset({1})] += 100
+        by_fix.clear()
+        assert diaconis_profile(5) == expected
+
+    def test_guard_runs_before_any_enumeration(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(itertools, "permutations", no_sweep)
+        with pytest.raises(SizeLimitError):
+            perm_poly(11, "eulerian")
+        with pytest.raises(SizeLimitError):
+            diaconis_profile(12)
