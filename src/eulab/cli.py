@@ -5,9 +5,11 @@
     eulab expand <basis> [--n N] [--var V]    (reads Poly JSON on stdin)
 
 Exit codes: 0 pass, 1 identity failure, 2 usage, 3 size guard exceeded,
-4 parse or precondition error.  Table and expand output is byte-identical
-across identical invocations; verify output includes wall times, which are
-the one intentionally non-reproducible field.
+4 parse or precondition error.  ``verify`` reports every identity it ran and
+exits 3 if any hit a size guard, else 1 if any did not pass, else 0.  Table
+and expand output is byte-identical across identical invocations; verify
+output includes wall times, which are the one intentionally non-reproducible
+field.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  note: {r.note}")
             if r.counterexample is not None:
                 print(f"  counterexample: {_dump(r.counterexample)}")
+    guarded = [r for r in reports if r.status == "guard"]
+    for r in guarded:
+        print(f"size guard: {r.note}", file=sys.stderr)
+    if guarded:
+        return EXIT_SIZE_GUARD
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 

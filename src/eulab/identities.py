@@ -2,10 +2,12 @@
 
 Every identity compares two (or three) independently computed routes:
 grammar iteration, recurrence tables, closed-form series, or exhaustive
-enumeration.  A failing check reports the first counterexample with both
-sides serialized, so a red result is always reproducible.
+enumeration.  Each check is a generator of cases ``(n, lhs, rhs, extra)``;
+one runner compares the two sides of every case and turns the first mismatch
+into a counterexample ``{"n", "lhs", "rhs", **extra}`` with both sides
+serialized, so a red result is always reproducible.
 
-Default ranges are sized so the whole catalog finishes in a few minutes of
+Default ranges are sized so the whole catalog finishes in under a second of
 pure Python: permutation oracles n <= 7 or 8, Stirling oracles capped at
 10^6 words, tree oracles well under 10^6 trees, series order <= 8.
 """
@@ -16,23 +18,24 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
-from .errors import UnknownIdentityError
-from .exactalg import Poly, poly_sum
-from .series import egf_build
+from .errors import OutOfRangeError, SizeLimitError, UnknownIdentityError
+from .exactalg import Poly, Rational, poly_sum
+from .series import Series, egf_build
 
 STIRLING_IDENTITY_GUARD = 10**6
 
 Counterexample = dict
+Case = tuple[int, object, object, dict]  # (n, lhs, rhs, extra fields of a counterexample)
 
 
 @dataclass
 class IdentityReport:
     name: str
     params: dict
-    status: str  # "pass" | "fail" | "empty" (max_n below the identity's smallest n)
+    status: str  # "pass" | "fail" | "guard" (a size guard stopped it) | "empty" (max_n below min_n)
     counterexample: Counterexample | None
     seconds: float
     note: str | None = None
@@ -55,18 +58,61 @@ class IdentityReport:
         return obj
 
 
-def _cx(n: int, lhs: Poly, rhs: Poly, **extra) -> Counterexample:
-    out = {"n": n, "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
-    out.update(extra)
+# ---------------------------------------------------------------------------
+# the runner and its helpers
+# ---------------------------------------------------------------------------
+
+
+def _wire(value: object) -> object:
+    """One side of a case as JSON-ready data."""
+    if isinstance(value, Poly):
+        return value.to_json_obj()
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):
+        return sorted((_wire(key), _wire(v)) for key, v in value.items())
+    return value
+
+
+def _first_mismatch(cases: Iterable[Case]) -> Counterexample | None:
+    """The counterexample for the first case whose sides differ, else None."""
+    for n, lhs, rhs, extra in cases:
+        if lhs != rhs:
+            return {"n": n, "lhs": _wire(lhs), "rhs": _wire(rhs), **extra}
+    return None
+
+
+def _iterates(g: grammar.Grammar, seed: Poly) -> Iterator[Poly]:
+    """seed, D(seed), D^2(seed), ...; each derivative is taken only when asked for."""
+    while True:
+        yield seed
+        seed = g.derive(seed)
+
+
+def _exps(poly: Poly, *letters: str) -> dict[tuple[int, ...], Rational]:
+    """Coefficients of ``poly`` summed by the exponents of ``letters``."""
+    out: dict[tuple[int, ...], Rational] = {}
+    for mono, c in poly.items():
+        exps = dict(mono)
+        key = tuple(exps.get(v, 0) for v in letters)
+        out[key] = out.get(key, 0) + c
     return out
 
 
+def _series_cases(lhs: Series, rhs: Series, order: int, **extra) -> Iterator[Case]:
+    """Compare two series coefficient by coefficient up to z^order."""
+    for n in range(order + 1):
+        yield n, lhs.coefficient(n), rhs.coefficient(n), extra
+
+
 # ---------------------------------------------------------------------------
-# individual identities; each returns None (pass) or a counterexample dict
+# individual identities; each yields its cases in increasing n
 # ---------------------------------------------------------------------------
 
 
-def _frobenius(max_n: int, k: int | None) -> Counterexample | None:
+def _frobenius(max_n: int, k: int | None) -> Iterator[Case]:
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = x * permstats.perm_poly(n, "eulerian")
@@ -74,145 +120,88 @@ def _frobenius(max_n: int, k: int | None) -> Counterexample | None:
             permstats.triangle("surjection", n, m) * x**m * (1 - x) ** (n - m)
             for m in range(1, n + 1)
         )
-        if lhs != rhs:
-            return _cx(n, lhs, rhs)
-    return None
+        yield n, lhs, rhs, {}
 
 
-def _gamma_eulerian(max_n: int, k: int | None) -> Counterexample | None:
+def _gamma_eulerian(max_n: int, k: int | None) -> Iterator[Case]:
     for n in range(1, max_n + 1):
-        an = permstats.perm_poly(n, "eulerian")
-        expansion = expand.gamma_expand(an, "x", n - 1)
+        expansion = expand.gamma_expand(permstats.perm_poly(n, "eulerian"), "x", n - 1)
         counts = permstats.perm_poly(n, "gamma-eulerian-no-ddes")
-        got = {i: c for (i,), c in expansion.coeffs.items()}
-        want = {dict(m).get("x", 0): c for m, c in counts.items()}
-        if got != want:
-            return {"n": n, "lhs": sorted(got.items()), "rhs": sorted(want.items())}
-    return None
+        yield n, expansion.coeffs, _exps(counts, "x"), {}
 
 
-def _stembridge(max_n: int, k: int | None) -> Counterexample | None:
+def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = permstats.perm_poly(n, "eulerian").scale(2 ** (n - 1))
-        parts = []
-        for mono, c in permstats.perm_poly(n, "peak").items():
-            i = dict(mono).get("x", 0)
-            parts.append(c * 4**i * x**i * (1 + x) ** (n - 1 - 2 * i))
-        rhs = poly_sum(parts)
-        if lhs != rhs:
-            return _cx(n, lhs, rhs)
-    return None
+        peaks = _exps(permstats.perm_poly(n, "peak"), "x")
+        rhs = poly_sum(c * 4**i * x**i * (1 + x) ** (n - 1 - 2 * i) for (i,), c in peaks.items())
+        yield n, lhs, rhs, {}
 
 
-def _trivariate_grammar(max_n: int, k: int | None) -> Counterexample | None:
-    g5 = grammar.g5()
+def _trivariate_grammar(max_n: int, k: int | None) -> Iterator[Case]:
     lm = Poly.var("L") * Poly.var("M")
-    current = lm
-    for n in range(0, max_n + 1):
-        lhs = current.divexact(lm)
-        rhs = permstats.perm_poly(n + 1, "trivariate")
-        if lhs != rhs:
-            return _cx(n, lhs, rhs)
-        current = g5.derive(current)
-    return None
+    for n, current in zip(range(max_n + 1), _iterates(grammar.g5(), lm)):
+        yield n, current.divexact(lm), permstats.perm_poly(n + 1, "trivariate"), {}
 
 
-def _trivariate_egf(max_n: int, k: int | None) -> Counterexample | None:
+def _trivariate_egf(max_n: int, k: int | None) -> Iterator[Case]:
     series = egf_build("trivariate", max_n)
-    for n in range(0, max_n + 1):
-        lhs = series.egf_coefficient(n)
-        rhs = permstats.perm_poly(n + 1, "trivariate")
-        if lhs != rhs:
-            return _cx(n, lhs, rhs)
-    return None
+    for n in range(max_n + 1):
+        yield n, series.egf_coefficient(n), permstats.perm_poly(n + 1, "trivariate"), {}
 
 
-def _trivariate_pde(order: int, k: int | None) -> Counterexample | None:
+def _trivariate_pde(order: int, k: int | None) -> Iterator[Case]:
     a = egf_build("trivariate", order)
     x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
-    lhs = a.diff_z()
-    rhs = (a * (y + s) + (a.diff_var("x") + a.diff_var("y") + a.diff_var("s")) * (x * y)).truncate(
-        order - 1
-    )
-    if lhs != rhs:
-        for n in range(order):
-            if lhs.coefficient(n) != rhs.coefficient(n):
-                return _cx(n, lhs.coefficient(n), rhs.coefficient(n))
-    return None
+    rhs = a * (y + s) + (a.diff_var("x") + a.diff_var("y") + a.diff_var("s")) * (x * y)
+    yield from _series_cases(a.diff_z(), rhs.truncate(order - 1), order - 1)
 
 
-def _partial_gamma(max_n: int, k: int | None) -> Counterexample | None:
+def _partial_gamma(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-nij", max_n)
-    for n in range(0, max_n + 1):
+    for n in range(max_n + 1):
         expansion = expand.partial_gamma_expand(permstats.perm_poly(n + 1, "trivariate"), n)
-        got = {key: int(v) for key, v in expansion.coeffs.items()}
         want = {(i, j): v for (nn, i, j), v in table.values.items() if nn == n}
-        if got != want:
-            return {"n": n, "lhs": sorted(got.items()), "rhs": sorted(want.items())}
-    return None
+        yield n, expansion.coeffs, want, {}
 
 
-def _forest_gamma(max_n: int, k: int | None) -> Counterexample | None:
+def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-nij", max_n)
-    for n in range(0, max_n + 1):
-        weights = trees.tree_weight_poly(n, "forest-gamma")
-        got: dict[tuple[int, int], int] = {}
-        for mono, c in weights.items():
-            exps = dict(mono)
-            got[(exps.get("t", 0), exps.get("u", 0))] = c
+    for n in range(max_n + 1):
+        got = _exps(trees.tree_weight_poly(n, "forest-gamma"), "t", "u")
         want = {(i, j): v for (nn, i, j), v in table.values.items() if nn == n}
-        if got != want:
-            return {"n": n, "lhs": sorted(got.items()), "rhs": sorted(want.items())}
-    return None
+        yield n, got, want, {}
 
 
-def _convolution(max_n: int, k: int | None) -> Counterexample | None:
-    order = max_n
-    lhs = egf_build("bivariate", order) * egf_build("fixpoint", order)
-    rhs = egf_build("trivariate", order)
-    if lhs != rhs:
-        for n in range(order + 1):
-            if lhs.coefficient(n) != rhs.coefficient(n):
-                return _cx(n, lhs.coefficient(n), rhs.coefficient(n), route="egf")
-    for n in range(0, min(max_n, 7) + 1):
+def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
+    lhs = egf_build("bivariate", max_n) * egf_build("fixpoint", max_n)
+    yield from _series_cases(lhs, egf_build("trivariate", max_n), max_n, route="egf")
+    for n in range(min(max_n, 7) + 1):
         direct = poly_sum(
             comb(n, i)
             * permstats.perm_poly(i, "bivariate")
             * permstats.perm_poly(n - i, "fixpoint")
             for i in range(n + 1)
         )
-        target = permstats.perm_poly(n + 1, "trivariate")
-        if direct != target:
-            return _cx(n, direct, target, route="enumeration")
-    return None
+        yield n, direct, permstats.perm_poly(n + 1, "trivariate"), {"route": "enumeration"}
 
 
-def _diaconis(max_n: int, k: int | None) -> Counterexample | None:
+def _diaconis(max_n: int, k: int | None) -> Iterator[Case]:
     for n in range(1, max_n + 1):
         by_suc, by_fix = permstats.diaconis_profile(n)
-        if by_suc != by_fix:
-            diff = {
-                tuple(sorted(key)): (by_suc.get(key, 0), by_fix.get(key, 0))
-                for key in set(by_suc) | set(by_fix)
-                if by_suc.get(key, 0) != by_fix.get(key, 0)
-            }
-            return {"n": n, "mismatched_sets": sorted(diff.items())}
-    return None
+        yield n, by_suc, by_fix, {}
 
 
-def _roselle(max_n: int, k: int | None) -> Counterexample | None:
-    for n in range(1, max_n + 1):
+def _roselle(max_n: int, k: int | None) -> Iterator[Case]:
+    for n in range(2, max_n + 1):
         counts = permstats.asc_suc_counts(n)
         for r in range(n):
             for s in range(1, n):
-                lhs = counts.get((r, s), 0)
                 rhs = 0
-                if n - s >= 1 and r - s >= 0:
+                if r >= s:
                     rhs = comb(n - 1, s) * permstats.asc_suc_counts(n - s).get((r - s, 0), 0)
-                if lhs != rhs:
-                    return {"n": n, "r": r, "s": s, "lhs": lhs, "rhs": rhs}
-    return None
+                yield n, counts.get((r, s), 0), rhs, {"r": r, "s": s}
 
 
 GAMMA_XY_POINTS = tuple(
@@ -228,77 +217,49 @@ GAMMA_XY_NOTE = (
 )
 
 
-def _gamma_xy_closed_form(order: int, k: int | None) -> Counterexample | None:
+def _gamma_xy_closed_form(order: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-n-xy-poly", order)
     for x0, y0 in GAMMA_XY_POINTS:
         series = egf_build("gamma-xy", order, {"x": x0, "y": y0})
+        point = {"x": str(x0), "y": str(y0)}
         for n in range(order + 1):
             lhs = series.egf_coefficient(n).constant_value()
-            rhs = table.values[n].evaluate({"x": x0, "y": y0})
-            if lhs != rhs:
-                return {
-                    "n": n,
-                    "x": str(x0),
-                    "y": str(y0),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-    return None
+            yield n, lhs, table.values[n].evaluate({"x": x0, "y": y0}), point
 
 
-def _second_order_grammar(max_n: int, k: int | None) -> Counterexample | None:
-    g7 = grammar.g7()
-    x = Poly.var("x")
-    current = x
-    for n in range(1, max_n + 1):
-        current = g7.derive(current)
+def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
+    g7, x = grammar.g7(), Poly.var("x")
+    for n, current in zip(range(1, max_n + 1), _iterates(g7, g7.derive(x))):
         enumerated = stirlingperm.trivariate_second_order(n)
-        if current != enumerated:
-            return _cx(n, current, enumerated, route="grammar-vs-enumeration")
+        yield n, current, enumerated, {"route": "grammar-vs-enumeration"}
         univariate = enumerated.subst({"x": 1, "y": x, "z": 1})
         from_triangle = permstats.second_order_poly_from_triangle(n)
-        if univariate != from_triangle:
-            return _cx(n, univariate, from_triangle, route="univariate-vs-recurrence")
-    return None
+        yield n, univariate, from_triangle, {"route": "univariate-vs-recurrence"}
 
 
-def _chenfu_esym(max_n: int, k: int | None) -> Counterexample | None:
+def _chenfu_esym(max_n: int, k: int | None) -> Iterator[Case]:
     x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
     e1, e2, e3 = x + y + z, x * y + y * z + z * x, x * y * z
     for n in range(1, max_n + 1):
-        weights = trees.tree_weight_poly(n, "chenfu-3")
-        gamma_kj: dict[tuple[int, int], int] = {}
-        for mono, c in weights.items():
-            exps = dict(mono)
-            key = (exps.get("m_1", 0), exps.get("m_2", 0))
-            gamma_kj[key] = gamma_kj.get(key, 0) + c
+        gamma_kj = _exps(trees.tree_weight_poly(n, "chenfu-3"), "m_1", "m_2")
         rhs = poly_sum(
             c * e3**kk * e2**j * e1 ** (2 * n + 1 - 2 * j - 3 * kk)
             for (kk, j), c in gamma_kj.items()
         )
-        lhs = stirlingperm.trivariate_second_order(n)
-        if lhs != rhs:
-            return _cx(n, lhs, rhs)
-    return None
+        yield n, stirlingperm.trivariate_second_order(n), rhs, {}
 
 
 def _k_range(k: int | None, k_max: int = 4) -> range:
     return range(k, k + 1) if k is not None else range(1, k_max + 1)
 
 
-def _kth_grammar(max_n: int, k: int | None) -> Counterexample | None:
+def _kth_grammar(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
         g9 = grammar.g9(kk)
-        seed = Poly.var("x_1")
-        current = seed
-        for n in range(1, max_n + 1):
-            current = g9.derive(current)
+        for n, current in zip(range(1, max_n + 1), _iterates(g9, g9.derive(Poly.var("x_1")))):
             if stirlingperm.word_count(n, kk) > STIRLING_IDENTITY_GUARD:
                 break
-            enumerated = stirlingperm.kth_order_poly(n, kk)
-            if current != enumerated:
-                return _cx(n, current, enumerated, k=kk)
-    return None
+            yield n, current, stirlingperm.kth_order_poly(n, kk), {"k": kk}
 
 
 def _known_g10_forms(kk: int) -> dict[int, Poly]:
@@ -319,117 +280,77 @@ def _known_g10_forms(kk: int) -> dict[int, Poly]:
     return forms
 
 
-def _mainthm_esym(max_n: int, k: int | None) -> Counterexample | None:
+def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
         g10 = grammar.g10(kk)
-        seed = Poly.var("x_1")
         known = _known_g10_forms(kk)
-        current = seed
-        for n in range(1, min(max_n, kk + 2) + 1):
-            current = g10.derive(current)
-            if n in known and current != known[n]:
-                return _cx(n, current, known[n], k=kk, route="closed-form")
+        steps = zip(range(1, min(max_n, kk + 2) + 1), _iterates(g10, g10.derive(Poly.var("x_1"))))
+        for n, current in steps:
+            if n in known:
+                yield n, current, known[n], {"k": kk, "route": "closed-form"}
             if stirlingperm.word_count(n, kk) > STIRLING_IDENTITY_GUARD:
                 continue
             expansion = expand.esym_expand(
                 stirlingperm.kth_order_poly(n, kk), grammar.stirling_vars(kk)
             )
-            if not expansion.is_positive():
-                return {"n": n, "k": kk, "reason": "expansion not e-positive"}
-            got = dict(expansion.coeffs)
-            want = grammar.e_exponent_table(current, kk)
-            if got != want:
-                return {
-                    "n": n,
-                    "k": kk,
-                    "lhs": sorted(got.items()),
-                    "rhs": sorted(want.items()),
-                }
-    return None
+            yield n, expansion.is_positive(), True, {"k": kk, "route": "e-positivity"}
+            yield n, expansion.coeffs, grammar.e_exponent_table(current, kk), {"k": kk}
 
 
-def _histogram_independence(max_n: int, k: int | None) -> Counterexample | None:
+def _histogram_independence(max_n: int, k: int | None) -> Iterator[Case]:
     for n in range(2, max_n + 1):
         base = trees.tree_weight_poly(n, "deghist", None)
         for kk in (n - 2, n - 1, n):
-            bounded = trees.tree_weight_poly(n, "deghist", kk + 1)
-            if bounded != base:
-                return _cx(n, bounded, base, k=kk)
-    return None
+            yield n, trees.tree_weight_poly(n, "deghist", kk + 1), base, {"k": kk}
 
 
-def _gamma_closed_values(max_n: int, k: int | None) -> Counterexample | None:
+def _gamma_closed_values(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-n-histogram", min(max_n + 1, expand.MAX_TABLE_N))
     for n in range(3, max_n + 1):
-        row = expand.histogram_row(table, n)
         key = (2, n - 3, 1) + (0,) * (n - 3)
-        if row.get(key, 0) != 2**n - 2 * n:
-            return {"n": n, "key": list(key), "lhs": row.get(key, 0), "rhs": 2**n - 2 * n}
+        got = expand.histogram_row(table, n).get(key, 0)
+        yield n, got, 2**n - 2 * n, {"key": list(key)}
     for n in range(2, max_n + 1):
-        row = expand.histogram_row(table, n + 1)
         key = (n,) + (0,) * (n - 1) + (1,)
-        if row.get(key, 0) != factorial(n):
-            return {"n": n + 1, "key": list(key), "lhs": row.get(key, 0), "rhs": factorial(n)}
-    return None
+        got = expand.histogram_row(table, n + 1).get(key, 0)
+        yield n + 1, got, factorial(n), {"key": list(key)}
 
 
-def _cn2_closed_form(max_n: int, k: int | None) -> Counterexample | None:
+def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
     for n in range(2, max_n + 1):
-        lhs = permstats.triangle("second-order-eulerian", n, 2)
-        rhs = 2 ** (n + 1) - 2 * (n + 1)
-        if lhs != rhs:
-            return {"n": n, "lhs": lhs, "rhs": rhs}
-    return None
+        yield n, permstats.triangle("second-order-eulerian", n, 2), 2 ** (n + 1) - 2 * (n + 1), {}
 
 
-def _final_corollary(max_n: int, k: int | None) -> Counterexample | None:
+def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-n-histogram", max_n)
     for n in range(2, max_n + 1):
         row = expand.histogram_row(table, n)
+        want = {j: permstats.triangle("second-order-eulerian", n - 1, j) for j in range(1, n)}
         for j in range(1, n):
-            total = sum(v for key, v in row.items() if key[0] == j)
-            want = permstats.triangle("second-order-eulerian", n - 1, j)
-            if total != want:
-                return {"n": n, "j": j, "lhs": total, "rhs": want}
+            yield n, sum(v for key, v in row.items() if key[0] == j), want[j], {"j": j}
         if n <= 7:
             leaf_counts = trees.leaf_counts_plane(n)
             for j in range(1, n):
-                if leaf_counts.get(j, 0) != permstats.triangle("second-order-eulerian", n - 1, j):
-                    return {
-                        "n": n,
-                        "j": j,
-                        "lhs": leaf_counts.get(j, 0),
-                        "rhs": permstats.triangle("second-order-eulerian", n - 1, j),
-                        "route": "leaf-count",
-                    }
-    return None
+                yield n, leaf_counts.get(j, 0), want[j], {"j": j, "route": "leaf-count"}
 
 
-def _andre(max_n: int, k: int | None) -> Counterexample | None:
-    g4 = grammar.g4()
-    current = Poly.var("u")
-    for n in range(0, max_n + 1):
-        enumerated = trees.tree_weight_poly(n, "andre")
-        if current != enumerated:
-            return _cx(n, current, enumerated)
-        current = g4.derive(current)
-    return None
+def _andre(max_n: int, k: int | None) -> Iterator[Case]:
+    for n, current in zip(range(max_n + 1), _iterates(grammar.g4(), Poly.var("u"))):
+        yield n, current, trees.tree_weight_poly(n, "andre"), {}
 
 
-def _transform_catalog(max_n: int, k: int | None) -> Counterexample | None:
+def _transform_catalog(max_n: int, k: int | None) -> Iterator[Case]:
+    """Change-of-grammar checks; they do not depend on n, so every case has n = 0."""
     k_max = k if k is not None else 4
     for name, old, defs, new, expected in grammar.transform_catalog(k_max):
-        got = grammar.transform_check(old, defs, new)
-        if got != expected:
-            return {"transform": name, "lhs": got, "rhs": expected}
-    return None
+        yield 0, grammar.transform_check(old, defs, new), expected, {"transform": name}
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-CheckFn = Callable[[int, "int | None"], "Counterexample | None"]
+CheckFn = Callable[[int, "int | None"], Iterator[Case]]
 
 
 @dataclass(frozen=True)
@@ -452,7 +373,7 @@ _REGISTRY: dict[str, _Entry] = {
     "forest-gamma": _Entry(_forest_gamma, 0, 7),
     "convolution": _Entry(_convolution, 0, 7),
     "diaconis": _Entry(_diaconis, 1, 7),
-    "roselle": _Entry(_roselle, 1, 7),
+    "roselle": _Entry(_roselle, 2, 7),
     "gamma-xy-closed-form": _Entry(_gamma_xy_closed_form, 0, 7, note=GAMMA_XY_NOTE),
     "second-order-grammar": _Entry(_second_order_grammar, 1, 6),
     "chenfu-esym": _Entry(_chenfu_esym, 1, 6),
@@ -473,7 +394,9 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     """Run one catalog identity and report pass/fail with timing.
 
     A ``max_n`` below the identity's smallest n checks nothing, so it is
-    reported with status ``"empty"``, which does not count as passed.
+    reported with status ``"empty"``, which does not count as passed.  A size
+    guard hit during the check is reported with status ``"guard"`` and the
+    guard's message as the note, so the rest of a catalog run can go on.
     """
     entry = _REGISTRY.get(name)
     if entry is None:
@@ -486,14 +409,16 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
         note = f"empty range: max_n={bound} is below the smallest n checked, {entry.min_n}"
         return IdentityReport(name, params, "empty", None, 0.0, note=note)
     start = time.perf_counter()
-    counterexample = entry.fn(bound, k)
-    elapsed = time.perf_counter() - start
+    try:
+        counterexample = _first_mismatch(entry.fn(bound, k))
+    except (SizeLimitError, OutOfRangeError) as exc:
+        return IdentityReport(name, params, "guard", None, time.perf_counter() - start, str(exc))
     return IdentityReport(
         name=name,
         params=params,
         status="pass" if counterexample is None else "fail",
         counterexample=counterexample,
-        seconds=elapsed,
+        seconds=time.perf_counter() - start,
         note=entry.note,
     )
 

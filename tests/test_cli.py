@@ -69,6 +69,39 @@ class TestVerify:
         assert status["andre"] == "pass"
         assert status["trivariate-grammar"] == "pass"
 
+    def test_guard_keeps_the_other_reports(self, capsys, monkeypatch):
+        from eulab.identities import IDENTITY_NAMES
+
+        monkeypatch.setattr("eulab.permstats.MAX_PROFILE_N", 3)
+        code, out, err = run(capsys, ["verify", "all", "--max-n", "4", "--json"])
+        assert code == 3
+        status = {r["identity"]: r["status"] for r in json.loads(out)}
+        assert set(status) == set(IDENTITY_NAMES)
+        assert status.pop("diaconis") == "guard"
+        assert set(status.values()) == {"pass"}
+        assert err.count("size guard:") == 1
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_fraction_counterexample_is_serialized(self, capsys, monkeypatch, as_json):
+        from fractions import Fraction
+
+        from eulab import grammar
+
+        table = grammar.e_exponent_table
+        monkeypatch.setattr(
+            grammar,
+            "e_exponent_table",
+            lambda p, k: {key: v + Fraction(1, 2) for key, v in table(p, k).items()},
+        )
+        argv = ["verify", "mainthm-esym", "--max-n", "3"] + (["--json"] if as_json else [])
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        if as_json:
+            counterexample = json.loads(out)[0]["counterexample"]
+        else:
+            counterexample = json.loads(out.split("counterexample: ", 1)[1])
+        assert counterexample["n"] == 1
+
     def test_all_small_range(self, capsys):
         from eulab.identities import IDENTITY_NAMES
 

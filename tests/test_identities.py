@@ -1,0 +1,56 @@
+import json
+
+import pytest
+
+from eulab import permstats, stirlingperm, trees
+from eulab.identities import _REGISTRY, IDENTITY_NAMES, _first_mismatch, verify
+
+
+def _corrupt_at_3(monkeypatch, module, attr):
+    """Make ``module.attr`` return a wrong value (every coefficient + 1) when n == 3."""
+    original = getattr(module, attr)
+
+    def corrupted(n, *args):
+        value = original(n, *args)
+        if n != 3:
+            return value
+        if isinstance(value, dict):
+            return {key: v + 1 for key, v in value.items()}
+        return value + 1
+
+    monkeypatch.setattr(module, attr, corrupted)
+
+
+@pytest.mark.parametrize(
+    "module, attr, identity, k",
+    [
+        (permstats, "perm_poly", "frobenius", None),
+        (trees, "tree_weight_poly", "andre", None),
+        (stirlingperm, "kth_order_poly", "kth-grammar", 2),
+        (permstats, "asc_suc_counts", "roselle", None),
+    ],
+    ids=["frobenius", "andre", "kth-grammar", "roselle"],
+)
+def test_corrupted_route_fails_at_first_bad_n(monkeypatch, module, attr, identity, k):
+    _corrupt_at_3(monkeypatch, module, attr)
+    report = verify(identity, 4, k)
+    assert report.status == "fail"
+    assert report.counterexample["n"] == 3
+    if k is not None:
+        assert report.counterexample["k"] == k
+    json.dumps(report.to_obj())
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_smallest_n_checks_something(name):
+    entry = _REGISTRY[name]
+    assert next(entry.fn(entry.min_n, None), None) is not None
+
+
+def test_set_keyed_counterexample_is_json():
+    cases = [
+        (2, {frozenset(): 1}, {frozenset(): 1}, {}),
+        (3, {frozenset({2, 1}): 1}, {frozenset({1, 2}): 2}, {"route": "profile"}),
+    ]
+    counterexample = json.loads(json.dumps(_first_mismatch(cases)))
+    assert counterexample == {"n": 3, "lhs": [[[1, 2], 1]], "rhs": [[[1, 2], 2]], "route": "profile"}
