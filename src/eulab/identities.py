@@ -240,6 +240,7 @@ def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
 def _chenfu_esym(max_n: int, k: int | None) -> Iterator[Case]:
     x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
     e1, e2, e3 = x + y + z, x * y + y * z + z * x, x * y * z
+    stirlingperm.guard(max_n, 2)  # the whole range first; the words outnumber the trees
     for n in range(1, max_n + 1):
         gamma_kj = _exps(trees.tree_weight_poly(n, "chenfu-3"), "m_1", "m_2")
         rhs = poly_sum(
@@ -298,6 +299,7 @@ def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _histogram_independence(max_n: int, k: int | None) -> Iterator[Case]:
+    trees.guard(max_n, trees.default_spec("deghist"))  # the whole range: the largest family
     for n in range(2, max_n + 1):
         base = trees.tree_weight_poly(n, "deghist", None)
         for kk in (n - 2, n - 1, n):

@@ -1,26 +1,34 @@
-"""k-Stirling permutations: gap-insertion generation and plateau statistics.
+"""k-Stirling permutations: one block-insertion walk and plateau statistics.
 
 Words are generated by inserting the block m^k into every gap of each word
-of order m-1, mirroring the structure used by the grammar proofs; this is
-exponentially cheaper than filtering multiset permutations and doubles as a
-structural test of that argument.  Boundary convention: a word sigma of
-length kn is padded with sigma_0 = sigma_{kn+1} = 0, so index 0 is always an
-ascent and index kn always a descent.
+of order m-1 (Gessel--Stanley, "Stirling polynomials", JCTA 1978; Janson--
+Kuba--Panholzer, JCTA 2011); this is exponentially cheaper than filtering
+multiset permutations.  Boundary convention: a word sigma of length kn is
+padded with sigma_0 = sigma_{kn+1} = 0, so index 0 is always an ascent and
+index kn always a descent.
 
 A plateau at index i is a j-plateau when exactly j-1 earlier positions hold
 the same letter; summing x_j over j <= k-1 plateau classes plus descent and
 ascent markers x_k, x_{k+1} gives the multivariate k-th order Eulerian
 polynomial.
+
+The walk keeps the live word, the type of each of its kn+1 padded gaps and
+the statistic vector.  Putting m^k into the gap between a and b replaces the
+pair (a, b) by (a, m), (m, m) k-1 times and (m, b): an ascent, the 1- to
+(k-1)-plateaux of m and a descent, while every other plateau keeps its index;
+so the vector changes in O(k) and nothing is copied or rescanned.  ``stats``
+recomputes a word from scratch and is the reference the walk is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import SizeLimitError
-from .exactalg import Mono, Poly, mono_from_exps
+from .exactalg import Poly, mono_from_exps
 
 PRODUCT_GUARD = 10**7
 
@@ -41,7 +49,8 @@ def word_count(n: int, k: int) -> int:
     return total
 
 
-def _guard(n: int, k: int) -> None:
+def guard(n: int, k: int) -> None:
+    """Raise before any enumeration when Q_n(k) is empty or too large to walk."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if word_count(n, k) > PRODUCT_GUARD:
@@ -50,19 +59,42 @@ def _guard(n: int, k: int) -> None:
         )
 
 
+def _walk(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Every word of Q_n(k) once, as the live pair (word, exponent vector).
+
+    A gap's type is the index of its variable: j-1 for a j-plateau, k-1 for a
+    descent, k for an ascent; ``vec[t]`` counts the gaps of type t, which is
+    the exponent of x_{t+1}.  Both lists change after each yield.
+    """
+    guard(n, k)
+    block_gaps = [k, *range(k - 1), k - 1]  # (a, m), (m, m) x (k-1), (m, b)
+    word, gaps, vec = [1] * k, list(block_gaps), [1] * (k + 1)  # 1^k put into (0, 0)
+
+    def grow(m: int) -> Iterator[tuple[list[int], list[int]]]:
+        block = [m] * k
+        for g in range(len(gaps)):
+            old = gaps[g]
+            word[g:g] = block
+            gaps[g : g + 1] = block_gaps
+            vec[old] -= 1
+            for t in block_gaps:
+                vec[t] += 1
+            if m == n:
+                yield word, vec
+            else:
+                yield from grow(m + 1)
+            for t in block_gaps:
+                vec[t] -= 1
+            vec[old] += 1
+            del word[g : g + k]
+            gaps[g : g + k + 1] = (old,)
+
+    return grow(2) if n > 1 else iter([(word, vec)])
+
+
 def gen(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Every word of Q_n(k) exactly once, by block insertion."""
-    _guard(n, k)
-
-    def grow(word: list[int], m: int) -> Iterator[tuple[int, ...]]:
-        if m > n:
-            yield tuple(word)
-            return
-        block = [m] * k
-        for gap in range(len(word) + 1):
-            yield from grow(word[:gap] + block + word[gap:], m + 1)
-
-    yield from grow([1] * k, 2)
+    return (tuple(word) for word, _ in _walk(n, k))
 
 
 def stats(word: tuple[int, ...], k: int) -> StirlingStats:
@@ -96,16 +128,9 @@ def kth_order_poly(n: int, k: int) -> Poly:
 
     Weight of a word: x_1^plat_1 ... x_{k-1}^plat_{k-1} x_k^des x_{k+1}^asc.
     """
-    _guard(n, k)
-    acc: dict[Mono, int] = {}
-    for word in gen(n, k):
-        st = stats(word, k)
-        exps = {f"x_{j + 1}": c for j, c in enumerate(st.plat_j) if c}
-        exps[f"x_{k}"] = st.des
-        exps[f"x_{k + 1}"] = st.asc
-        mono = mono_from_exps(exps)
-        acc[mono] = acc.get(mono, 0) + 1
-    return Poly(acc)
+    names = [f"x_{t + 1}" for t in range(k + 1)]
+    counts = Counter(tuple(vec) for _, vec in _walk(n, k))
+    return Poly({mono_from_exps(dict(zip(names, key))): c for key, c in counts.items()})
 
 
 def trivariate_second_order(n: int) -> Poly:

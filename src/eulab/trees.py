@@ -14,18 +14,22 @@ Three kinds of family are supported:
   the difference between the v -> u and v -> 2u grammar rules, and is the
   most delicate correctness point of the module.
 
-Generation is guarded at 10^7 trees and streams snapshots; the weight
-accumulator walks the same recursion without materializing snapshots.
+One insertion walk (Janson--Kuba--Panholzer, JCTA 2011) serves both the
+snapshot stream and the weight sums: it keeps the children lists, a degree
+histogram and the number of leaf children of the root, and updates them in
+O(1) per attachment.  ``tree_count`` counts a family over degree states
+without building a tree, so the 10^7-tree guard trips before the walk starts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import SizeLimitError
-from .exactalg import Mono, Poly, mono_from_exps
+from .exactalg import Poly, mono_from_exps
 
 TREE_GUARD = 10**7
 
@@ -53,6 +57,13 @@ class FamilySpec:
     def root(self) -> int:
         return 0 if self.kind in ("nonplane", "forest012") else 1
 
+    def bounds(self, n: int) -> tuple[int, int, int]:
+        """Most children of the root, a child of the root, any other vertex; n + 1 is no bound."""
+        if self.kind == "forest012":
+            return n + 1, 1, 2
+        cap = n + 1 if self.maxdeg is None else self.maxdeg
+        return cap, cap, cap
+
 
 @dataclass(frozen=True)
 class IncTree:
@@ -74,118 +85,85 @@ class IncTree:
         return walk(self.root)
 
 
-@dataclass(frozen=True)
-class DegHist:
-    """Degree histogram: counts[j] = number of vertices of degree j."""
+def tree_count(n: int, spec: FamilySpec) -> int:
+    """Number of trees of the family on its vertex set, without building one.
 
-    counts: tuple[int, ...]
-    root_leaf_count: int
-    other_leaf_count: int
-
-
-def _hist(children: list[list[int]], root: int, last: int) -> DegHist:
-    counts = [0] * (last - root + 1)
-    for v in range(root, last + 1):
-        counts[len(children[v])] += 1
-    root_children = children[root]
-    root_leaves = sum(1 for c in root_children if not children[c])
-    leaves = counts[0]
-    is_root_leaf = 1 if not root_children else 0
-    other = leaves - root_leaves - is_root_leaf
-    return DegHist(
-        counts=tuple(counts),
-        root_leaf_count=root_leaves,
-        other_leaf_count=other,
-    )
-
-
-def _slots(
-    children: list[list[int]], parent: list[int], spec: FamilySpec, m: int
-) -> list[tuple[int, int]]:
-    """All (vertex, gap position) pairs where the new maximum m may attach."""
-    root = spec.root
-    out: list[tuple[int, int]] = []
-    for v in range(root, m):
-        kids = children[v]
-        if spec.kind == "plane":
-            if spec.maxdeg is None or len(kids) < spec.maxdeg:
-                out.extend((v, pos) for pos in range(len(kids) + 1))
-        elif spec.kind == "nonplane":
-            if spec.maxdeg is None or len(kids) < spec.maxdeg:
-                out.append((v, len(kids)))
-        else:  # forest012
-            if v == root:
-                eligible = True
-            elif parent[v] == root:
-                eligible = len(kids) == 0
-            else:
-                eligible = len(kids) <= 1
-            if eligible:
-                out.append((v, len(kids)))
-    return out
-
-
-def _walk(
-    n: int,
-    spec: FamilySpec,
-    visit: Callable[[list[list[int]], list[int]], None],
-) -> None:
-    """Run the insertion recursion, calling ``visit`` once per complete tree."""
+    The ways the next label can attach depend only on the multiset of
+    (degree, bound, is root) over the vertices that may still take a child,
+    so the count runs over these states instead of over trees.
+    """
     root = spec.root
     if n < root:
         raise ValueError("empty vertex set")
+    top, under_root, other = spec.bounds(n)
+    states = Counter({((0, top, True),) if top > 0 else (): 1})
+    for _ in range(root + 1, n + 1):
+        grown: Counter = Counter()
+        for state, ways in states.items():
+            for i, (d, bound, is_root) in enumerate(state):
+                nxt = list(state)
+                nxt[i : i + 1] = [(d + 1, bound, is_root)] if d + 1 < bound else []
+                child = under_root if is_root else other
+                if child > 0:
+                    nxt.append((0, child, False))
+                grown[tuple(sorted(nxt))] += ways * (d + 1 if spec.kind == "plane" else 1)
+        states = grown
+    return sum(states.values())
+
+
+def guard(n: int, spec: FamilySpec) -> None:
+    """Raise before any tree is built when the family is too large to walk."""
+    total = tree_count(n, spec)
+    if total > TREE_GUARD:
+        raise SizeLimitError(f"tree guard: the family has {total} trees, more than {TREE_GUARD}")
+
+
+def _walk(n: int, spec: FamilySpec) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """Every tree of the family once, as the live pair (children, state).
+
+    ``state[j]`` counts the vertices of degree j and ``state[-1]`` the leaf
+    children of the root.  Attaching m below v of degree d moves v to degree
+    d+1 and adds the leaf m; only the root and its leaf children move the last
+    entry, so each attachment is O(1).  Both lists change after each yield.
+    """
+    guard(n, spec)
+    root, plane = spec.root, spec.kind == "plane"
+    top, under_root, other = spec.bounds(n)
     children: list[list[int]] = [[] for _ in range(n + 1)]
-    parent: list[int] = [-1] * (n + 1)
-    count = 0
+    parent, bound = [-1] * (n + 1), [top] * (n + 1)
+    state = [1] + [0] * (n - root + 1)
 
-    def grow(m: int) -> None:
-        nonlocal count
-        if m > n:
-            count += 1
-            if count > TREE_GUARD:
-                raise SizeLimitError(f"tree guard: family exceeds {TREE_GUARD} trees")
-            visit(children, parent)
-            return
-        for v, pos in _slots(children, parent, spec, m):
-            children[v].insert(pos, m)
-            parent[m] = v
-            grow(m + 1)
-            children[v].pop(pos)
-        parent[m] = -1
+    def grow(m: int) -> Iterator[tuple[list[list[int]], list[int]]]:
+        for v in range(root, m):
+            kids = children[v]
+            d = len(kids)
+            if d >= bound[v]:
+                continue
+            gain = (v == root) - (d == 0 and parent[v] == root)
+            parent[m], bound[m] = v, under_root if v == root else other
+            state[d] -= 1
+            state[d + 1] += 1
+            state[0] += 1
+            state[-1] += gain
+            for pos in range(d + 1) if plane else (d,):
+                kids.insert(pos, m)
+                if m == n:
+                    yield children, state
+                else:
+                    yield from grow(m + 1)
+                del kids[pos]
+            state[-1] -= gain
+            state[0] -= 1
+            state[d + 1] -= 1
+            state[d] += 1
 
-    grow(root + 1)
+    return grow(root + 1) if n > root else iter([(children, state)])
 
 
 def trees_gen(n: int, spec: FamilySpec) -> Iterator[IncTree]:
     """Stream every tree of the family on its vertex set, exactly once."""
-    root = spec.root
-    if n < root:
-        raise ValueError("empty vertex set")
     flavor = "plane" if spec.kind == "plane" else "nonplane"
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    parent: list[int] = [-1] * (n + 1)
-    count = 0
-
-    def grow(m: int) -> Iterator[IncTree]:
-        nonlocal count
-        if m > n:
-            count += 1
-            if count > TREE_GUARD:
-                raise SizeLimitError(f"tree guard: family exceeds {TREE_GUARD} trees")
-            yield IncTree(
-                flavor=flavor,
-                root=root,
-                children=tuple(tuple(kids) for kids in children),
-            )
-            return
-        for v, pos in _slots(children, parent, spec, m):
-            children[v].insert(pos, m)
-            parent[m] = v
-            yield from grow(m + 1)
-            children[v].pop(pos)
-        parent[m] = -1
-
-    return grow(root + 1)
+    return (IncTree(flavor, spec.root, tuple(map(tuple, kids))) for kids, _ in _walk(n, spec))
 
 
 def default_spec(weighting: str, maxdeg: int | None = None) -> FamilySpec:
@@ -214,23 +192,18 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
     deghist      prod m_j^(vertices of degree j-1) over bounded plane on [n]
     """
     spec = default_spec(weighting, maxdeg)
-    root = spec.root
-    acc: dict[Mono, int] = {}
-
-    def visit(children: list[list[int]], parent: list[int]) -> None:
-        h = _hist(children, root, n)
+    acc: Counter = Counter()
+    for (*counts, root_leaves), ways in Counter(tuple(s) for _, s in _walk(n, spec)).items():
         if weighting == "andre":
-            exps = {"u": h.counts[0], "v": h.counts[1] if len(h.counts) > 1 else 0}
+            exps = {"u": counts[0], "v": counts[1] if len(counts) > 1 else 0}
         elif weighting == "forest-gamma":
-            exps = {"t": h.root_leaf_count, "u": h.other_leaf_count}
+            # the root is a leaf only when it is the whole tree
+            exps = {"t": root_leaves, "u": counts[0] - root_leaves - (n == spec.root)}
         elif weighting == "plane-leaf":
-            exps = {"x": h.counts[0]}
+            exps = {"x": counts[0]}
         else:  # chenfu-3 / deghist
-            exps = {f"m_{j + 1}": c for j, c in enumerate(h.counts) if c}
-        mono = mono_from_exps(exps)
-        acc[mono] = acc.get(mono, 0) + 1
-
-    _walk(n, spec, visit)
+            exps = {f"m_{j + 1}": c for j, c in enumerate(counts) if c}
+        acc[mono_from_exps(exps)] += ways
     return Poly(acc)
 
 

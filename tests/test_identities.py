@@ -54,3 +54,17 @@ def test_set_keyed_counterexample_is_json():
     ]
     counterexample = json.loads(json.dumps(_first_mismatch(cases)))
     assert counterexample == {"n": 3, "lhs": [[[1, 2], 1]], "rhs": [[[1, 2], 2]], "route": "profile"}
+
+
+@pytest.mark.parametrize(
+    "identity, max_n, message",
+    [("chenfu-esym", 9, "|Q_9(2)|"), ("histogram-independence", 10, "34459425 trees")],
+)
+def test_guard_precedes_every_tree(monkeypatch, identity, max_n, message):
+    def tree_oracle(n, *args):
+        raise AssertionError(f"tree oracle called at n={n} before the guard")
+
+    monkeypatch.setattr(trees, "tree_weight_poly", tree_oracle)
+    report = verify(identity, max_n)
+    assert report.status == "guard"
+    assert message in report.note

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from eulab.exactalg import Poly, elementary_symmetric
 from eulab.grammar import g9, stirling_vars
 from eulab.permstats import perm_poly, second_order_poly_from_triangle
 from eulab.stirlingperm import (
+    _walk,
     gen,
     kth_order_poly,
     stats,
@@ -67,6 +69,40 @@ class TestGeneration:
             list(gen(12, 3))
         with pytest.raises(ValueError):
             list(gen(0, 2))
+
+
+def stats_vector(word, k):
+    """The exponents of x_1..x_{k+1} recomputed from scratch by ``stats``."""
+    st = stats(tuple(word), k)
+    return [*st.plat_j, st.des, st.asc]
+
+
+class TestIncrementalWalk:
+    """The walk's statistic vector against ``stats``, the from-scratch reference."""
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (4, 3), (3, 4)])
+    def test_every_word(self, n, k):
+        seen = 0
+        for word, vec in _walk(n, k):
+            assert vec == stats_vector(word, k), word
+            seen += 1
+        assert seen == word_count(n, k)
+
+    @pytest.mark.parametrize("n, k", [(7, 2), (6, 3)])
+    def test_seeded_sample(self, n, k):
+        picked = set(random.Random(n * 10 + k).sample(range(word_count(n, k)), 2000))
+        checked = 0
+        for i, (word, vec) in enumerate(_walk(n, k)):
+            if i in picked:
+                assert vec == stats_vector(word, k), word
+                checked += 1
+        assert checked == 2000
+
+    def test_guard_runs_before_the_walk(self):
+        with pytest.raises(SizeLimitError):
+            _walk(12, 3)
+        with pytest.raises(SizeLimitError):
+            gen(12, 3)
 
 
 class TestStats:

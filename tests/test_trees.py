@@ -1,16 +1,19 @@
 import pytest
 
+import eulab.trees as trees_mod
 from eulab.errors import SizeLimitError
 from eulab.exactalg import Poly
 from eulab.expand import gamma_expand, gamma_tables
 from eulab.grammar import g4
 from eulab.permstats import perm_poly, triangle
 from eulab.trees import (
+    WEIGHTINGS,
     FamilySpec,
     IncTree,
     default_spec,
     histogram_table,
     leaf_counts_plane,
+    tree_count,
     tree_weight_poly,
     trees_gen,
 )
@@ -153,9 +156,77 @@ class TestWeights:
             default_spec("nope")
 
 
-def test_size_guard(monkeypatch):
-    import eulab.trees as trees_mod
+def key_from_snapshot(tree, n):
+    """Degree histogram plus leaf children of the root, recomputed from the children."""
+    degrees = [tree.degree(v) for v in range(tree.root, n + 1)]
+    hist = [degrees.count(j) for j in range(n - tree.root + 1)]
+    root_leaves = sum(1 for c in tree.children[tree.root] if not tree.children[c])
+    return (*hist, root_leaves)
 
+
+FAMILIES = [
+    FamilySpec("nonplane", 0),
+    FamilySpec("nonplane", 1),
+    FamilySpec("nonplane", 2),
+    FamilySpec("nonplane", None),
+    FamilySpec("plane", 0),
+    FamilySpec("plane", 1),
+    FamilySpec("plane", 2),
+    FamilySpec("plane", 3),
+    FamilySpec("plane", None),
+    FamilySpec("forest012"),
+]
+
+
+class TestIncrementalWalk:
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_walk_key_matches_snapshot(self, weighting):
+        spec = default_spec(weighting)
+        for n in range(spec.root, 8):
+            seen = 0
+            for tree, (_, state) in zip(trees_gen(n, spec), trees_mod._walk(n, spec)):
+                assert tuple(state) == key_from_snapshot(tree, n), tree
+                seen += 1
+            assert seen == tree_count(n, spec)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.kind}-{s.maxdeg}")
+    def test_count_matches_enumeration(self, spec):
+        for n in range(spec.root, 8):
+            assert tree_count(n, spec) == sum(1 for _ in trees_gen(n, spec)), n
+
+    def test_count_closed_forms(self):
+        double_factorial = lambda m: 1 if m < 1 else m * double_factorial(m - 2)
+        factorial = lambda m: 1 if m < 1 else m * factorial(m - 1)
+        for n in range(1, 16):
+            assert tree_count(n, FamilySpec("plane", None)) == double_factorial(2 * n - 3)
+            assert tree_count(n, FamilySpec("nonplane", None)) == factorial(n)
+
+    def test_guard_trips_before_any_tree(self, monkeypatch):
+        visited = []
+        walk = trees_mod._walk
+
+        def spy(n, spec):
+            for state in walk(n, spec):
+                visited.append(n)
+                yield state
+
+        monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
+        monkeypatch.setattr(trees_mod, "_walk", spy)
+        tree_weight_poly.cache_clear()
+        with pytest.raises(SizeLimitError):
+            tree_weight_poly(5, "deghist")
+        with pytest.raises(SizeLimitError):
+            list(trees_gen(5, FamilySpec("plane", None)))
+        assert visited == []
+
+    def test_guard_is_checked_when_the_stream_is_made(self):
+        with pytest.raises(SizeLimitError, match="34459425 trees"):
+            trees_gen(10, FamilySpec("plane", None))
+        with pytest.raises(SizeLimitError):
+            tree_weight_poly(40, "andre")
+
+
+def test_size_guard(monkeypatch):
     monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
     with pytest.raises(SizeLimitError):
         list(trees_gen(5, FamilySpec("plane", None)))
