@@ -307,7 +307,7 @@ def _histogram_independence(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _gamma_closed_values(max_n: int, k: int | None) -> Iterator[Case]:
-    table = expand.gamma_tables("gamma-n-histogram", min(max_n + 1, expand.MAX_TABLE_N))
+    table = expand.gamma_tables("gamma-n-histogram", max_n + 1)  # row n + 1 is read below
     for n in range(3, max_n + 1):
         key = (2, n - 3, 1) + (0,) * (n - 3)
         got = expand.histogram_row(table, n).get(key, 0)

@@ -53,10 +53,8 @@ def guard(n: int, k: int) -> None:
     """Raise before any enumeration when Q_n(k) is empty or too large to walk."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if word_count(n, k) > PRODUCT_GUARD:
-        raise SizeLimitError(
-            f"k-Stirling guard: |Q_{n}({k})| = {word_count(n, k)} exceeds {PRODUCT_GUARD}"
-        )
+    if (total := word_count(n, k)) > PRODUCT_GUARD:
+        raise SizeLimitError(f"k-Stirling guard: |Q_{n}({k})| = {total} exceeds {PRODUCT_GUARD}")
 
 
 def _walk(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:

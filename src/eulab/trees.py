@@ -1,15 +1,13 @@
 """Increasing-tree families: generation by leaf insertion and weight polynomials.
 
-Three kinds of family are supported:
+Three kinds of family are supported (``FamilySpec.attach`` holds the rules):
 
-* ``nonplane`` on {0..n}: the new maximum attaches as a child of any vertex
-  below its degree bound, one way per vertex (child lists kept in label
-  order, which is canonical for non-plane trees).
-* ``plane`` on [n]: the new maximum attaches into any gap; a vertex of
-  degree d that is below the bound offers d+1 gaps.
-* ``forest012`` on {0..n}: the root takes children freely, a degree-0 child
-  of the root may take one child, and every other vertex is bounded by
-  degree 2 -- non-plane, one insertion per eligible vertex.  This single-
+* ``nonplane`` on {0..n}: the new maximum attaches below any vertex under
+  its degree bound, one way per vertex (children kept in label order).
+* ``plane`` on [n]: the new maximum goes into any gap; a vertex of degree d
+  below the bound offers d+1 gaps.
+* ``forest012`` on {0..n}: non-plane; the root takes children freely, a child
+  of the root at most one, every other vertex at most two.  This single-
   multiplicity insertion (versus the plane family's gap count) is exactly
   the difference between the v -> u and v -> 2u grammar rules, and is the
   most delicate correctness point of the module.
@@ -17,8 +15,8 @@ Three kinds of family are supported:
 One insertion walk (Janson--Kuba--Panholzer, JCTA 2011) serves both the
 snapshot stream and the weight sums: it keeps the children lists, a degree
 histogram and the number of leaf children of the root, and updates them in
-O(1) per attachment.  ``tree_count`` counts a family over degree states
-without building a tree, so the 10^7-tree guard trips before the walk starts.
+O(1) per attachment.  ``tree_count`` counts a family over degree states, and
+stops once past the 10^7-tree guard, so the guard trips before the walk.
 """
 
 from __future__ import annotations
@@ -57,12 +55,14 @@ class FamilySpec:
     def root(self) -> int:
         return 0 if self.kind in ("nonplane", "forest012") else 1
 
-    def bounds(self, n: int) -> tuple[int, int, int]:
-        """Most children of the root, a child of the root, any other vertex; n + 1 is no bound."""
-        if self.kind == "forest012":
-            return n + 1, 1, 2
-        cap = n + 1 if self.maxdeg is None else self.maxdeg
-        return cap, cap, cap
+    def root_bound(self, n: int) -> int:
+        """Most children of the root; n + 1 is no bound."""
+        return n + 1 if self.kind == "forest012" or self.maxdeg is None else self.maxdeg
+
+    def attach(self, n: int, at_root: bool, d: int) -> tuple[int, range]:
+        """A new leaf below a vertex of degree d: its own bound and its positions."""
+        bound = (1 if at_root else 2) if self.kind == "forest012" else self.root_bound(n)
+        return bound, range(0 if self.kind == "plane" else d, d + 1)
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,41 @@ class IncTree:
         return walk(self.root)
 
 
-def tree_count(n: int, spec: FamilySpec) -> int:
+def tree_count(n: int, spec: FamilySpec, cap: int | None = None) -> int:
     """Number of trees of the family on its vertex set, without building one.
 
     The ways the next label can attach depend only on the multiset of
     (degree, bound, is root) over the vertices that may still take a child,
-    so the count runs over these states instead of over trees.
+    so the count runs over these states instead of over trees.  After the
+    first step the total never falls (the newest leaf always has a free slot
+    when any bound is positive), so it is returned once it exceeds ``cap``.
     """
     root = spec.root
     if n < root:
         raise ValueError("empty vertex set")
-    top, under_root, other = spec.bounds(n)
+    top = spec.root_bound(n)
     states = Counter({((0, top, True),) if top > 0 else (): 1})
     for _ in range(root + 1, n + 1):
         grown: Counter = Counter()
         for state, ways in states.items():
             for i, (d, bound, is_root) in enumerate(state):
+                child, positions = spec.attach(n, is_root, d)
                 nxt = list(state)
                 nxt[i : i + 1] = [(d + 1, bound, is_root)] if d + 1 < bound else []
-                child = under_root if is_root else other
                 if child > 0:
                     nxt.append((0, child, False))
-                grown[tuple(sorted(nxt))] += ways * (d + 1 if spec.kind == "plane" else 1)
+                grown[tuple(sorted(nxt))] += ways * len(positions)
         states = grown
+        if cap is not None and sum(states.values()) > cap:
+            break
     return sum(states.values())
 
 
 def guard(n: int, spec: FamilySpec) -> None:
     """Raise before any tree is built when the family is too large to walk."""
-    total = tree_count(n, spec)
+    total = tree_count(n, spec, cap=TREE_GUARD)
     if total > TREE_GUARD:
-        raise SizeLimitError(f"tree guard: the family has {total} trees, more than {TREE_GUARD}")
+        raise SizeLimitError(f"tree guard: the family has at least {total} trees, more than {TREE_GUARD}")
 
 
 def _walk(n: int, spec: FamilySpec) -> Iterator[tuple[list[list[int]], list[int]]]:
@@ -127,10 +131,10 @@ def _walk(n: int, spec: FamilySpec) -> Iterator[tuple[list[list[int]], list[int]
     entry, so each attachment is O(1).  Both lists change after each yield.
     """
     guard(n, spec)
-    root, plane = spec.root, spec.kind == "plane"
-    top, under_root, other = spec.bounds(n)
+    root = spec.root
     children: list[list[int]] = [[] for _ in range(n + 1)]
-    parent, bound = [-1] * (n + 1), [top] * (n + 1)
+    parent, bound = [-1] * (n + 1), [spec.root_bound(n)] * (n + 1)
+    rules = [[spec.attach(n, at_root, d) for d in range(n + 1)] for at_root in (False, True)]
     state = [1] + [0] * (n - root + 1)
 
     def grow(m: int) -> Iterator[tuple[list[list[int]], list[int]]]:
@@ -140,12 +144,12 @@ def _walk(n: int, spec: FamilySpec) -> Iterator[tuple[list[list[int]], list[int]
             if d >= bound[v]:
                 continue
             gain = (v == root) - (d == 0 and parent[v] == root)
-            parent[m], bound[m] = v, under_root if v == root else other
+            parent[m], (bound[m], positions) = v, rules[v == root][d]
             state[d] -= 1
             state[d + 1] += 1
             state[0] += 1
             state[-1] += gain
-            for pos in range(d + 1) if plane else (d,):
+            for pos in positions:
                 kids.insert(pos, m)
                 if m == n:
                     yield children, state

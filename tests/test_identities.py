@@ -68,3 +68,10 @@ def test_guard_precedes_every_tree(monkeypatch, identity, max_n, message):
     report = verify(identity, max_n)
     assert report.status == "guard"
     assert message in report.note
+
+
+def test_gamma_table_bound_is_a_guard_not_a_failure():
+    assert verify("gamma-2n-2n", 11).status == "pass"
+    report = verify("gamma-2n-2n", 12)
+    assert report.status == "guard"
+    assert "table guard" in report.note

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import eulab.trees as trees_mod
@@ -224,6 +226,17 @@ class TestIncrementalWalk:
             trees_gen(10, FamilySpec("plane", None))
         with pytest.raises(SizeLimitError):
             tree_weight_poly(40, "andre")
+
+    def test_guard_stops_counting_once_past_the_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            trees_gen(200, FamilySpec("plane", None))
+        with pytest.raises(SizeLimitError):
+            tree_weight_poly(500, "andre")
+        assert time.perf_counter() - start < 1.0
+        # a capped count is past the cap, and an uncapped one below it is exact
+        assert 10**3 < tree_count(60, FamilySpec("plane", None), cap=10**3) < 10**5
+        assert tree_count(9, FamilySpec("plane", None), cap=10**7) == 2027025
 
 
 def test_size_guard(monkeypatch):
