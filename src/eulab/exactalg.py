@@ -115,7 +115,8 @@ class Poly:
         clean: dict[Mono, Rational] = {}
         if terms:
             for m, c in terms.items():
-                c = _norm_coeff(c)
+                if type(c) is not int:
+                    c = _norm_coeff(c)
                 if c:
                     clean[m] = c
         self._terms = clean
@@ -234,9 +235,9 @@ class Poly:
         return Poly({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: Poly | Rational) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         if not self._terms or not other._terms:
             return Poly.zero()
@@ -302,19 +303,25 @@ class Poly:
                 power_cache[key] = got
             return got
 
-        total = Poly.zero()
+        # every term goes into one dict: adding Polys would copy the running total per term
+        out: dict[Mono, Rational] = {}
         for m, c in self._terms.items():
             untouched: list[tuple[str, int]] = []
-            term = Poly.const(c)
+            image: Poly | None = None
             for v, e in m:
                 if v in images:
-                    term = term * var_power(v, e)
+                    power = var_power(v, e)
+                    image = power if image is None else image * power
                 else:
                     untouched.append((v, e))
-            if untouched:
-                term = term * Poly({tuple(untouched): 1})
-            total = total + term
-        return total
+            rest = tuple(untouched)
+            if image is None:
+                out[rest] = out.get(rest, 0) + c
+                continue
+            for im, ic in image._terms.items():
+                nm = mono_mul(im, rest)
+                out[nm] = out.get(nm, 0) + ic * c
+        return Poly(out)
 
     def evaluate(self, assign: Mapping[str, Rational]) -> Rational:
         """Evaluate at an exact rational point (all variables must be bound)."""
@@ -334,15 +341,26 @@ class Poly:
         """True iff invariant under all transpositions of ``variables``.
 
         Checking adjacent transpositions suffices since they generate the
-        symmetric group.
+        symmetric group.  A transposition is a bijection on monomials, so the
+        polynomial is invariant under it iff every term's swapped monomial
+        carries the same coefficient.
         """
         vs = list(variables)
         if len(set(vs)) != len(vs):
             raise ValueError("variables must be distinct")
+        terms = self._terms
         for a, b in zip(vs, vs[1:]):
-            swapped = self.subst({a: Poly.var(b), b: Poly.var(a)})
-            if swapped != self:
-                return False
+            for m, c in terms.items():
+                exps = dict(m)
+                ea, eb = exps.pop(a, 0), exps.pop(b, 0)
+                if ea == eb:
+                    continue
+                if eb:
+                    exps[a] = eb
+                if ea:
+                    exps[b] = ea
+                if terms.get(tuple(sorted(exps.items()))) != c:
+                    return False
         return True
 
     def is_palindromic(self, var: str, n: int) -> bool:
@@ -383,9 +401,16 @@ class Poly:
             raise InexactDivisionError("division by the zero polynomial")
         if not self._terms:
             return Poly.zero()
-        dc = divisor.constant_value() if not divisor.variables() else None
-        if dc is not None:
-            return self.scale(Fraction(1, 1) / Fraction(dc))
+        if len(divisor._terms) == 1:
+            # a monomial (or a constant) divides term by term, with no remainder to rescan
+            ((dm, dc),) = divisor._terms.items()
+            out: dict[Mono, Rational] = {}
+            for m, c in self._terms.items():
+                qm = mono_div(m, dm)
+                if qm is None:
+                    raise InexactDivisionError("polynomial division is not exact")
+                out[qm] = c if dc == 1 else Fraction(c) / dc
+            return Poly(out)
         universe = tuple(sorted(set(self.variables()) | set(divisor.variables())))
         lt_m, lt_c = divisor.leading_term(universe)
         remainder = self

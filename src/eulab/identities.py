@@ -113,6 +113,7 @@ def _series_cases(lhs: Series, rhs: Series, order: int, **extra) -> Iterator[Cas
 
 
 def _frobenius(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n)
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = x * permstats.perm_poly(n, "eulerian")
@@ -124,6 +125,7 @@ def _frobenius(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _gamma_eulerian(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n)
     for n in range(1, max_n + 1):
         expansion = expand.gamma_expand(permstats.perm_poly(n, "eulerian"), "x", n - 1)
         counts = permstats.perm_poly(n, "gamma-eulerian-no-ddes")
@@ -131,6 +133,7 @@ def _gamma_eulerian(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n)
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = permstats.perm_poly(n, "eulerian").scale(2 ** (n - 1))
@@ -140,12 +143,14 @@ def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _trivariate_grammar(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n + 1)
     lm = Poly.var("L") * Poly.var("M")
     for n, current in zip(range(max_n + 1), _iterates(grammar.g5(), lm)):
         yield n, current.divexact(lm), permstats.perm_poly(n + 1, "trivariate"), {}
 
 
 def _trivariate_egf(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n + 1)
     series = egf_build("trivariate", max_n)
     for n in range(max_n + 1):
         yield n, series.egf_coefficient(n), permstats.perm_poly(n + 1, "trivariate"), {}
@@ -159,6 +164,7 @@ def _trivariate_pde(order: int, k: int | None) -> Iterator[Case]:
 
 
 def _partial_gamma(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n + 1)
     table = expand.gamma_tables("gamma-nij", max_n)
     for n in range(max_n + 1):
         expansion = expand.partial_gamma_expand(permstats.perm_poly(n + 1, "trivariate"), n)
@@ -167,6 +173,7 @@ def _partial_gamma(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
+    trees.guard(max_n, trees.default_spec("forest-gamma"))
     table = expand.gamma_tables("gamma-nij", max_n)
     for n in range(max_n + 1):
         got = _exps(trees.tree_weight_poly(n, "forest-gamma"), "t", "u")
@@ -188,12 +195,14 @@ def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _diaconis(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.profile_guard(max_n)
     for n in range(1, max_n + 1):
         by_suc, by_fix = permstats.diaconis_profile(n)
         yield n, by_suc, by_fix, {}
 
 
 def _roselle(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n)
     for n in range(2, max_n + 1):
         counts = permstats.asc_suc_counts(n)
         for r in range(n):
@@ -228,6 +237,7 @@ def _gamma_xy_closed_form(order: int, k: int | None) -> Iterator[Case]:
 
 
 def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
+    stirlingperm.guard(max_n, 2)
     g7, x = grammar.g7(), Poly.var("x")
     for n, current in zip(range(1, max_n + 1), _iterates(g7, g7.derive(x))):
         enumerated = stirlingperm.trivariate_second_order(n)
@@ -337,6 +347,7 @@ def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _andre(max_n: int, k: int | None) -> Iterator[Case]:
+    trees.guard(max_n, trees.default_spec("andre"))
     for n, current in zip(range(max_n + 1), _iterates(grammar.g4(), Poly.var("u"))):
         yield n, current, trees.tree_weight_poly(n, "andre"), {}
 

@@ -102,7 +102,8 @@ def stats(perm: Sequence[int]) -> PermStats:
     )
 
 
-def _guard_enum(n: int) -> None:
+def guard(n: int) -> None:
+    """Raise before any sweep when S_n is too large to enumerate."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_ENUM_N:
@@ -111,7 +112,7 @@ def _guard_enum(n: int) -> None:
 
 def perms(n: int) -> Iterator[tuple[int, ...]]:
     """All permutations of [n] in lexicographic order (guarded)."""
-    _guard_enum(n)
+    guard(n)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -180,7 +181,7 @@ class _PermTable(NamedTuple):
 @lru_cache(maxsize=None)
 def _perm_table(n: int) -> _PermTable:
     """The one sweep of S_n: joint key counts and the two set profiles."""
-    _guard_enum(n)
+    guard(n)
     joint: dict[tuple, int] = {}
     by_suc: dict[int, int] = {}
     by_fix: dict[int, int] = {}
@@ -297,6 +298,12 @@ def second_order_poly_from_triangle(n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def profile_guard(n: int) -> None:
+    """Raise before any sweep when ``diaconis_profile(n)`` is out of range."""
+    if not 1 <= n <= MAX_PROFILE_N:
+        raise SizeLimitError(f"profile guard: need 1 <= n <= {MAX_PROFILE_N}")
+
+
 def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[int], int]]:
     """Count permutations by succession set and by restricted fixed-point set.
 
@@ -304,8 +311,7 @@ def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[
     a fixed point at position n.  The two mappings are claimed (and checked
     elsewhere) to be equal as whole objects.  Each call returns fresh dicts.
     """
-    if not 1 <= n <= MAX_PROFILE_N:
-        raise SizeLimitError(f"profile guard: need 1 <= n <= {MAX_PROFILE_N}")
+    profile_guard(n)
     table = _perm_table(n)
     return dict(table.by_suc), dict(table.by_fix)
 

@@ -19,10 +19,15 @@ from .errors import (
     InvalidParamError,
     NonInvertibleConstantTermError,
     NonzeroConstantTermError,
+    SizeLimitError,
 )
-from .exactalg import Poly, Rational
+from .exactalg import Poly, Rational, poly_sum
 
 PolyLike = Union[Poly, int, Fraction]
+
+#: Largest truncation order ``egf_build`` accepts; the trivariate EGF at order 30
+#: takes seconds, and its cost grows steeply with the order.
+MAX_SERIES_ORDER = 30
 
 
 def _as_poly(v: PolyLike) -> Poly:
@@ -123,15 +128,11 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [Poly.zero()] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        a, b = self.coeffs, other.coeffs
+        out = [
+            poly_sum(a[i] * b[m - i] for i in range(m + 1) if a[i] and b[m - i])
+            for m in range(n + 1)
+        ]
         return Series(out, n)
 
     def __rmul__(self, other: PolyLike) -> Series:
@@ -144,18 +145,15 @@ class Series:
         is zero or some required coefficient division is inexact.
         """
         n = min(self.order, other.order)
-        b0 = other.coeffs[0]
+        b = other.coeffs
+        b0 = b[0]
         if not b0:
             raise NonInvertibleConstantTermError("divisor has zero constant term")
         out: list[Poly] = []
         try:
             for i in range(n + 1):
-                acc = self.coeffs[i]
-                for j in range(1, i + 1):
-                    bj = other.coeffs[j]
-                    if bj:
-                        acc = acc - out[i - j] * bj
-                out.append(acc.divexact(b0))
+                known = poly_sum(out[i - j] * b[j] for j in range(1, i + 1) if b[j])
+                out.append((self.coeffs[i] - known).divexact(b0))
         except InexactDivisionError as exc:
             raise NonInvertibleConstantTermError(
                 "divisor constant term is not invertible and division is not exact"
@@ -172,12 +170,9 @@ class Series:
         n = self.order
         out = [Poly.one()] + [Poly.zero()] * n
         # E' = a' E  gives  m*E_m = sum_{k=1..m} k*a_k*E_{m-k}
+        a = self.coeffs
         for m in range(1, n + 1):
-            acc = Poly.zero()
-            for k in range(1, m + 1):
-                ak = self.coeffs[k]
-                if ak:
-                    acc = acc + (ak * out[m - k]).scale(k)
+            acc = poly_sum((a[k] * out[m - k]).scale(k) for k in range(1, m + 1) if a[k])
             out[m] = acc.scale(Fraction(1, m))
         return Series(out, n)
 
@@ -271,6 +266,8 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
     gamma-xy       e^{z(x-1)} (q sec(qz/2) / (q - tan(qz/2)))^2,  q = sqrt(2y-1),
                    evaluated at exact rational parameters (y required, x optional)
     """
+    if order > MAX_SERIES_ORDER:
+        raise SizeLimitError(f"series order guard: order={order} exceeds {MAX_SERIES_ORDER}")
     x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
     if name == "trivariate":
         q = _core_quotient(order)

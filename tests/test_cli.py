@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,15 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "diaconis", "--max-n", "12"])
         assert code == 3
         assert "guard" in err
+
+    @pytest.mark.parametrize("identity", ["trivariate-pde", "trivariate-egf", "convolution"])
+    def test_series_identities_guard_at_once(self, capsys, identity):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", identity, "--max-n", "60", "--json"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert [r["status"] for r in json.loads(out)] == ["guard"]
+        assert err.startswith("size guard:")
 
     def test_restricted_multiplicity(self, capsys):
         code, out, _ = run(capsys, ["verify", "mainthm-esym", "--max-n", "5", "--k", "3"])

@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import polys
+from conftest import coefficients, polys
 from eulab.errors import InexactDivisionError, PolyParseError
-from eulab.exactalg import Poly, elementary_symmetric
+from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 
 x, y, s, z = Poly.var("x"), Poly.var("y"), Poly.var("s"), Poly.var("z")
 
@@ -201,3 +202,67 @@ class TestRingLaws:
         if q.is_zero():
             return
         assert (p * q).divexact(q) == p
+
+
+def subst_by_adding_terms(p, mapping):
+    """Substitution as a running Poly sum, one term at a time."""
+    total = Poly.zero()
+    for m, c in p.items():
+        term = Poly.const(c)
+        for v, e in m:
+            image = mapping.get(v, Poly.var(v))
+            term = term * (image if isinstance(image, Poly) else Poly.const(image)) ** e
+        total = total + term
+    return total
+
+
+def symmetric_by_subst(p, variables):
+    """Invariance under each adjacent transposition, tested by substitution."""
+    swaps = zip(variables, variables[1:])
+    return all(p.subst({a: Poly.var(b), b: Poly.var(a)}) == p for a, b in swaps)
+
+
+def symmetrized(p, variables):
+    """The sum of p over every permutation of ``variables``."""
+    perms = itertools.permutations(variables)
+    return poly_sum(p.subst(dict(zip(variables, map(Poly.var, perm)))) for perm in perms)
+
+
+images = st.one_of(coefficients(), polys(variables=("x", "u"), max_terms=3, max_exp=2))
+variable_lists = st.sampled_from([["x", "y"], ["x", "y", "s"], ["s", "x"], ["x", "y", "w"]])
+monomials = st.fixed_dictionaries({v: st.integers(0, 2) for v in ("x", "y", "u")})
+
+
+class TestKernelAgainstReferences:
+    """Each kernel routine equals the formulation it replaced."""
+
+    @given(polys(), st.dictionaries(st.sampled_from(["x", "y", "s"]), images))
+    def test_subst_equals_term_by_term_sum(self, p, mapping):
+        assert p.subst(mapping) == subst_by_adding_terms(p, mapping)
+
+    @given(polys(), variable_lists)
+    def test_is_symmetric_matches_subst(self, p, variables):
+        assert p.is_symmetric(variables) == symmetric_by_subst(p, variables)
+
+    @given(polys(max_terms=3), variable_lists, st.integers(0, 50), coefficients().filter(bool))
+    def test_is_symmetric_on_symmetrized_input(self, p, variables, index, delta):
+        sym = symmetrized(p, variables)
+        assert sym.is_symmetric(variables)
+        assert symmetric_by_subst(sym, variables)
+        if sym:
+            terms = sorted(sym.items())
+            mono, _ = terms[index % len(terms)]
+            perturbed = sym + Poly({mono: delta})
+            assert perturbed.is_symmetric(variables) == symmetric_by_subst(perturbed, variables)
+
+    @given(polys(variables=("x", "y", "u")), monomials, coefficients().filter(bool))
+    def test_monomial_divexact_round_trip(self, q, exps, c):
+        m = Poly.monomial(exps, c)
+        assert (q * m).divexact(m) == q
+
+    @given(polys(variables=("x", "y", "u")), monomials, coefficients().filter(bool))
+    def test_monomial_divexact_rejects_a_stray_term(self, q, exps, c):
+        m = Poly.monomial(dict(exps, x=exps["x"] + 1), c)
+        stray = Poly.monomial(exps)  # each term of q * m has a higher power of x
+        with pytest.raises(InexactDivisionError):
+            (q * m + stray).divexact(m)

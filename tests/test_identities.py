@@ -75,3 +75,35 @@ def test_gamma_table_bound_is_a_guard_not_a_failure():
     report = verify("gamma-2n-2n", 12)
     assert report.status == "guard"
     assert "table guard" in report.note
+
+
+@pytest.mark.parametrize(
+    "identity, max_n, message",
+    [
+        ("frobenius", 11, "n=11 exceeds"),
+        ("gamma-eulerian", 11, "n=11 exceeds"),
+        ("stembridge", 11, "n=11 exceeds"),
+        ("roselle", 11, "n=11 exceeds"),
+        ("trivariate-grammar", 10, "n=11 exceeds"),
+        ("trivariate-egf", 10, "n=11 exceeds"),
+        ("partial-gamma", 10, "n=11 exceeds"),
+        ("diaconis", 10, "profile guard"),
+        ("second-order-grammar", 9, "|Q_9(2)|"),
+        ("forest-gamma", 12, "tree guard"),
+        ("andre", 60, "tree guard"),
+    ],
+)
+def test_guard_precedes_every_sweep(monkeypatch, identity, max_n, message):
+    calls = []
+
+    def sweep(n, *args):
+        calls.append(n)
+        raise AssertionError(f"enumeration at n={n} before the guard")
+
+    monkeypatch.setattr(permstats, "_perm_table", sweep)
+    monkeypatch.setattr(stirlingperm, "_walk", sweep)
+    monkeypatch.setattr(trees, "_walk", sweep)
+    report = verify(identity, max_n)
+    assert report.status == "guard"
+    assert message in report.note
+    assert calls == []

@@ -2,15 +2,27 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from conftest import coefficients, polys
 from eulab.errors import (
     InvalidParamError,
     NonInvertibleConstantTermError,
     NonzeroConstantTermError,
+    SizeLimitError,
 )
 from eulab.exactalg import Poly
-from eulab.series import Series, cos_series, egf_build, rational_sqrt, sin_series
+from eulab.series import (
+    EGF_NAMES,
+    MAX_SERIES_ORDER,
+    Series,
+    cos_series,
+    egf_build,
+    rational_sqrt,
+    sin_series,
+)
 
 x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
 
@@ -100,6 +112,87 @@ class TestErrors:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             egf_build("nope", 3)
+
+
+def series(unit: bool = False, zero_constant: bool = False) -> st.SearchStrategy:
+    """Short series in x, y; the constant term optionally a nonzero number or zero."""
+    coeff = polys(variables=("x", "y"), max_terms=3, max_exp=2)
+    head = coeff
+    if unit:
+        head = coefficients().filter(bool).map(Poly.const)
+    if zero_constant:
+        head = st.just(Poly.zero())
+    return st.builds(lambda h, tail: Series([h, *tail]), head, st.lists(coeff, max_size=4))
+
+
+def naive_mul(a: Series, b: Series) -> Series:
+    n = min(a.order, b.order)
+    out = [Poly.zero()] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return Series(out, n)
+
+
+def naive_div(a: Series, b: Series) -> Series:
+    n = min(a.order, b.order)
+    out: list[Poly] = []
+    for i in range(n + 1):
+        acc = a.coeffs[i]
+        for j in range(1, i + 1):
+            acc = acc - out[i - j] * b.coeffs[j]
+        out.append(acc.divexact(b.coeffs[0]))
+    return Series(out, n)
+
+
+def naive_exp(a: Series) -> Series:
+    out = [Poly.one()] + [Poly.zero()] * a.order
+    for m in range(1, a.order + 1):
+        acc = Poly.zero()
+        for k in range(1, m + 1):
+            acc = acc + (a.coeffs[k] * out[m - k]).scale(k)
+        out[m] = acc.scale(Fraction(1, m))
+    return Series(out, a.order)
+
+
+class TestAgainstNaiveLoops:
+    """Each product builds a coefficient in one sum; the loops adding one term at a time agree."""
+
+    @given(series(), series())
+    def test_mul(self, a, b):
+        assert a * b == naive_mul(a, b)
+
+    @given(series(), series(unit=True))
+    def test_div_by_a_unit(self, a, b):
+        assert a.div(b) == naive_div(a, b)
+
+    @given(series(), series())
+    def test_exact_div_by_a_non_unit(self, c, b):
+        if not b.coeffs[0]:
+            return
+        a = c * b
+        assert a.div(b) == naive_div(a, b) == c.truncate(a.order)
+
+    @given(series(zero_constant=True))
+    def test_exp(self, a):
+        assert a.exp() == naive_exp(a)
+
+
+class TestOrderGuard:
+    @pytest.mark.parametrize("name", EGF_NAMES)
+    def test_guard_raises_before_any_work(self, monkeypatch, name):
+        def work(*args):
+            raise AssertionError("series built before the order guard")
+
+        monkeypatch.setattr(Series, "exp_zp", work)
+        monkeypatch.setattr(Series, "div", work)
+        with pytest.raises(SizeLimitError, match="series order guard"):
+            egf_build(name, MAX_SERIES_ORDER + 1, {"x": 1, "y": 1})
+
+    def test_benchmark_orders_still_build(self):
+        assert MAX_SERIES_ORDER >= 30
+        values = egf_build("gamma-xy", 30, {"x": 1, "y": 1}).egf_coefficient(6)
+        assert values.constant_value() == 272
 
 
 class TestRandomizedLaws:
