@@ -86,20 +86,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _integer_table_rows(name: str, n: int, k: int | None) -> tuple[tuple[str, ...], list[tuple]]:
-    if name == "eulerian":
+    if name in ("eulerian", "second-order"):
+        triangle = "eulerian" if name == "eulerian" else "second-order-eulerian"
         rows = [
-            (m, j, permstats.triangle("eulerian", m, j))
+            (m, j, permstats.triangle(triangle, m, j))
             for m in range(n + 1)
             for j in range(m + 1)
-            if permstats.triangle("eulerian", m, j)
-        ]
-        return ("n", "k", "value"), rows
-    if name == "second-order":
-        rows = [
-            (m, j, permstats.triangle("second-order-eulerian", m, j))
-            for m in range(n + 1)
-            for j in range(m + 1)
-            if permstats.triangle("second-order-eulerian", m, j)
+            if permstats.triangle(triangle, m, j)
         ]
         return ("n", "k", "value"), rows
     if name == "gamma-nij":
@@ -146,8 +139,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     poly = _poly_table(name, n, k)
     if args.format == "csv":
         print("monomial,coeff")
-        for mono, coeff in poly.sorted_terms():
-            text = "*".join(f"{v}^{e}" if e > 1 else v for v, e in mono) or "1"
+        for text, coeff in poly.text_terms():
             print(f'{text},"{coeff}"')
     else:
         print(poly.to_json())

@@ -7,6 +7,14 @@ with zero exponents never stored; coefficients are ``int`` or ``Fraction``
 polynomial has no terms.  All arithmetic is exact; there is no floating
 point anywhere in this package.
 
+The monomial tuple is private to this module: no other module of the
+package builds or takes one apart.  They read a polynomial as an exponent
+table (``Poly.exponent_table``: exponent vectors of named letters to summed
+coefficients), build one from exponent mappings (``Poly.from_exponents``)
+and print its monomials through ``Poly.text_terms``, so a change of monomial
+representation stays inside this file.  ``Poly.items`` still yields the
+tuples for the tests' term-by-term reference implementations.
+
 Monomials are ordered graded-lexicographically over sorted variable names,
 which fixes a canonical serialization and a leading-term notion used by the
 exact division and symmetric-function reduction routines.
@@ -143,6 +151,15 @@ class Poly:
     def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> Poly:
         return cls({mono_from_exps(exps): coeff})
 
+    @classmethod
+    def from_exponents(cls, pairs: Iterable[tuple[Mapping[str, int], Rational]]) -> Poly:
+        """Sum of coeff * prod v^e over (exponent mapping, coeff) pairs; equal monomials add up."""
+        out: dict[Mono, Rational] = {}
+        for exps, c in pairs:
+            m = mono_from_exps(exps)
+            out[m] = out.get(m, 0) + c
+        return cls(out)
+
     # -- introspection -----------------------------------------------------
 
     def items(self) -> Iterator[tuple[Mono, Rational]]:
@@ -181,6 +198,19 @@ class Poly:
     def coefficient(self, exps: Mapping[str, int]) -> Rational:
         """Coefficient of the given monomial (0 if absent)."""
         return self._terms.get(mono_from_exps(exps), 0)
+
+    def exponent_table(self, letters: Sequence[str]) -> dict[tuple[int, ...], Rational]:
+        """Coefficients summed by the exponents of ``letters``, zero sums dropped.
+
+        A letter a monomial lacks reads exponent 0; letters not listed are
+        summed over, as if set to 1.
+        """
+        out: dict[tuple[int, ...], Rational] = {}
+        for m, c in self._terms.items():
+            exps = dict(m)
+            key = tuple([exps.get(v, 0) for v in letters])
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
 
     def constant_term(self) -> Rational:
         return self._terms.get(_ONE, 0)
@@ -478,20 +508,18 @@ class Poly:
 
     # -- display -----------------------------------------------------------
 
+    def text_terms(self) -> list[tuple[str, Rational]]:
+        """Terms leading-first as (monomial text, coeff), e.g. ("x^2*y", 3); a constant reads "1"."""
+        return [(_mono_text(m) or "1", c) for m, c in self.sorted_terms()]
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            factors = [f"{v}^{e}" if e > 1 else v for v, e in m]
-            if not factors:
-                body = str(abs(c) if isinstance(c, int) else abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
+            text, a = _mono_text(m), abs(c)
+            body = str(a) if not text else text if a == 1 else f"{a}*{text}"
+            parts.append(("-" if c < 0 else "+", body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
@@ -508,6 +536,11 @@ def _coerce(value: Poly | Rational) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     return NotImplemented
+
+
+def _mono_text(m: Mono) -> str:
+    """"x^2*y" for x^2 y; the empty string for the constant monomial."""
+    return "*".join(f"{v}^{e}" if e > 1 else v for v, e in m)
 
 
 def _coeff_str(c: Rational) -> str:

@@ -126,41 +126,30 @@ def partial_gamma_expand(f: Poly, n: int) -> Expansion:
     """Expand in the basis (s+y)^i (2xy)^j (x+y)^(n-i-2j).
 
     Routes through s -> t-y so the symmetric (x,y) pair separates from the
-    t = s+y direction; every t-slice must then be symmetric in (x,y), which
-    is asserted rather than assumed.
+    t = s+y direction; every t-slice must then be symmetric in (x,y) and
+    homogeneous of degree n - i, which is asserted rather than assumed.
     """
     extra = set(f.variables()) - {"x", "y", "s"}
     if extra:
         raise ValueError(f"expected a polynomial in x, y, s; also found {sorted(extra)}")
     g = f.subst({"s": Poly.var("t") - Poly.var("y")})
-    # split into t-slices
-    slices: dict[int, dict] = {}
-    for mono, c in g.items():
-        exps = dict(mono)
-        i = exps.pop("t", 0)
-        slices.setdefault(i, {})[tuple(sorted(exps.items()))] = c
+    slices: dict[int, dict[tuple[int, int], Rational]] = {}
+    for (i, a, b), c in g.exponent_table(["t", "x", "y"]).items():
+        slices.setdefault(i, {})[(a, b)] = c
     out: dict[tuple[int, ...], Rational] = {}
-    x, y = Poly.var("x"), Poly.var("y")
     for i, terms in sorted(slices.items()):
-        slice_poly = Poly(terms)
         if i > n:
             raise NotExpandableError(f"t-degree {i} exceeds n={n}")
-        if not slice_poly.is_symmetric(["x", "y"]):
+        if any(terms.get((b, a)) != c for (a, b), c in terms.items()):
             raise NotExpandableError(f"coefficient of (s+y)^{i} is not symmetric in x, y")
         d = n - i
-        residual = slice_poly
-        for j in range(d // 2 + 1):
-            c = residual.coefficient({"x": j, "y": d - j})
-            if c:
-                gamma = Fraction(c) / 2**j
-                if gamma.denominator == 1:
-                    gamma = int(gamma)
-                out[(i, j)] = gamma
-                residual = residual - gamma * (2 * x * y) ** j * (x + y) ** (d - 2 * j)
-        if residual:
-            raise NotExpandableError(
-                f"nonzero residual in the (s+y)^{i} slice after partial-gamma peeling"
-            )
+        if any(a + b != d for a, b in terms):
+            raise NotExpandableError(f"coefficient of (s+y)^{i} is not homogeneous of degree {d}")
+        # at y = 1 the slice is palindromic of degree d, and (2x)^j (x+1)^(d-2j) is its basis
+        at_y1 = Poly.from_exponents(({"x": a}, c) for (a, _), c in terms.items())
+        for (j,), c in gamma_expand(at_y1, "x", d).coeffs.items():
+            gamma = Fraction(c) / 2**j
+            out[(i, j)] = int(gamma) if gamma.denominator == 1 else gamma
     return Expansion(basis="partial-gamma", coeffs=out, n=n)
 
 
@@ -186,9 +175,9 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
     out: dict[tuple[int, ...], Rational] = {}
     residual = f
     while residual:
-        mono, c = residual.leading_term(variables)
-        exps = dict(mono)
-        a = [exps.get(v, 0) for v in variables]
+        table = residual.exponent_table(variables)
+        a = max(table, key=lambda vec: (sum(vec), vec))  # graded-lex leading exponents
+        c = table[a]
         if any(a[i] < a[i + 1] for i in range(m - 1)):
             raise NotSymmetricError("leading exponent vector is not weakly decreasing")
         b = tuple(a[i] - a[i + 1] for i in range(m - 1)) + (a[m - 1],)

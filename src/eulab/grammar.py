@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exactalg import Mono, Poly, Rational, elementary_symmetric, poly_sum
+from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
 
 
 @dataclass(frozen=True)
@@ -26,19 +26,8 @@ class Grammar:
     rules: Mapping[str, Poly]
 
     def derive(self, p: Poly) -> Poly:
-        """One application of the formal derivative D_G (Leibniz rule)."""
-        parts: list[Poly] = []
-        for mono, coeff in p.items():
-            for i, (v, e) in enumerate(mono):
-                rule = self.rules.get(v)
-                if rule is None:
-                    continue
-                if e == 1:
-                    rest: Mono = mono[:i] + mono[i + 1 :]
-                else:
-                    rest = mono[:i] + ((v, e - 1),) + mono[i + 1 :]
-                parts.append(rule * Poly({rest: coeff * e}))
-        return poly_sum(parts)
+        """One application of the formal derivative D_G: the sum of rule(v) * dp/dv (Leibniz)."""
+        return poly_sum(rule * p.diff(v) for v, rule in self.rules.items())
 
     def iterate(self, seed: Poly, n: int) -> Poly:
         """n-fold derivative D_G^n(seed); n = 0 returns the seed."""
@@ -136,7 +125,7 @@ def g9(k: int) -> Grammar:
     if k < 1:
         raise ValueError("k must be >= 1")
     vs = stirling_vars(k)
-    product = Poly({tuple((v, 1) for v in sorted(vs)): 1})
+    product = Poly.monomial(dict.fromkeys(vs, 1))
     return Grammar({v: product for v in vs})
 
 
@@ -175,19 +164,10 @@ def e_exponent_table(p: Poly, k: int) -> dict[tuple[int, ...], Rational]:
     letter e_0 is folded to 1 (its exponent dropped).  Raises ValueError on
     any letter outside the e-alphabet.
     """
-    names = {e_letter(i): i for i in range(0, k + 2)}
-    table: dict[tuple[int, ...], Rational] = {}
-    for mono, coeff in p.items():
-        exps = [0] * (k + 1)
-        for v, e in mono:
-            idx = names.get(v)
-            if idx is None:
-                raise ValueError(f"letter {v!r} is not in the e-alphabet for k={k}")
-            if idx > 0:
-                exps[idx - 1] = e
-        key = tuple(exps)
-        table[key] = table.get(key, 0) + coeff
-    return {key: c for key, c in table.items() if c}
+    stray = set(p.variables()) - {e_letter(i) for i in range(0, k + 2)}
+    if stray:
+        raise ValueError(f"letters {sorted(stray)} are not in the e-alphabet for k={k}")
+    return p.exponent_table([e_letter(i) for i in range(1, k + 2)])
 
 
 def catalog(name: str) -> Grammar:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
 from .errors import OutOfRangeError, SizeLimitError, UnknownIdentityError
-from .exactalg import Poly, Rational, poly_sum
+from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
 
 STIRLING_IDENTITY_GUARD = 10**6
@@ -91,16 +91,6 @@ def _iterates(g: grammar.Grammar, seed: Poly) -> Iterator[Poly]:
         seed = g.derive(seed)
 
 
-def _exps(poly: Poly, *letters: str) -> dict[tuple[int, ...], Rational]:
-    """Coefficients of ``poly`` summed by the exponents of ``letters``."""
-    out: dict[tuple[int, ...], Rational] = {}
-    for mono, c in poly.items():
-        exps = dict(mono)
-        key = tuple(exps.get(v, 0) for v in letters)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
 def _series_cases(lhs: Series, rhs: Series, order: int, **extra) -> Iterator[Case]:
     """Compare two series coefficient by coefficient up to z^order."""
     for n in range(order + 1):
@@ -129,7 +119,7 @@ def _gamma_eulerian(max_n: int, k: int | None) -> Iterator[Case]:
     for n in range(1, max_n + 1):
         expansion = expand.gamma_expand(permstats.perm_poly(n, "eulerian"), "x", n - 1)
         counts = permstats.perm_poly(n, "gamma-eulerian-no-ddes")
-        yield n, expansion.coeffs, _exps(counts, "x"), {}
+        yield n, expansion.coeffs, counts.exponent_table(["x"]), {}
 
 
 def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
@@ -137,7 +127,7 @@ def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = permstats.perm_poly(n, "eulerian").scale(2 ** (n - 1))
-        peaks = _exps(permstats.perm_poly(n, "peak"), "x")
+        peaks = permstats.perm_poly(n, "peak").exponent_table(["x"])
         rhs = poly_sum(c * 4**i * x**i * (1 + x) ** (n - 1 - 2 * i) for (i,), c in peaks.items())
         yield n, lhs, rhs, {}
 
@@ -176,7 +166,7 @@ def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
     trees.guard(max_n, trees.default_spec("forest-gamma"))
     table = expand.gamma_tables("gamma-nij", max_n)
     for n in range(max_n + 1):
-        got = _exps(trees.tree_weight_poly(n, "forest-gamma"), "t", "u")
+        got = trees.tree_weight_poly(n, "forest-gamma").exponent_table(["t", "u"])
         want = {(i, j): v for (nn, i, j), v in table.values.items() if nn == n}
         yield n, got, want, {}
 
@@ -252,7 +242,7 @@ def _chenfu_esym(max_n: int, k: int | None) -> Iterator[Case]:
     e1, e2, e3 = x + y + z, x * y + y * z + z * x, x * y * z
     stirlingperm.guard(max_n, 2)  # the whole range first; the words outnumber the trees
     for n in range(1, max_n + 1):
-        gamma_kj = _exps(trees.tree_weight_poly(n, "chenfu-3"), "m_1", "m_2")
+        gamma_kj = trees.tree_weight_poly(n, "chenfu-3").exponent_table(["m_1", "m_2"])
         rhs = poly_sum(
             c * e3**kk * e2**j * e1 ** (2 * n + 1 - 2 * j - 3 * kk)
             for (kk, j), c in gamma_kj.items()

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, SizeLimitError
-from .exactalg import Mono, Poly, mono_from_exps
+from .exactalg import Poly
 
 MAX_ENUM_N = 10
 MAX_TRIANGLE_N = 60
@@ -235,13 +235,8 @@ def perm_poly(n: int, family: str) -> Poly:
     joint = _perm_table(n).joint
     if n == 0:
         return Poly.one()
-    acc: dict[Mono, int] = {}
-    for key, count in joint.items():
-        exps = project(n, _Key._make(key))
-        if exps is not None:
-            mono = mono_from_exps(exps)
-            acc[mono] = acc.get(mono, 0) + count
-    return Poly(acc)
+    projected = ((project(n, _Key._make(key)), count) for key, count in joint.items())
+    return Poly.from_exponents(pair for pair in projected if pair[0] is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +278,14 @@ def eulerian_poly_from_triangle(n: int) -> Poly:
     """A_n(x) assembled from the Eulerian triangle (recurrence route)."""
     if n == 0:
         return Poly.one()
-    return Poly({mono_from_exps({"x": k}): triangle("eulerian", n, k) for k in range(n)})
+    return Poly.from_exponents(({"x": k}, triangle("eulerian", n, k)) for k in range(n))
 
 
 def second_order_poly_from_triangle(n: int) -> Poly:
     """C_n(x) assembled from the second-order Eulerian triangle."""
     if n == 0:
         return Poly.one()
-    return Poly({mono_from_exps({"x": j}): triangle("second-order-eulerian", n, j) for j in range(1, n + 1)})
+    return Poly.from_exponents(({"x": j}, triangle("second-order-eulerian", n, j)) for j in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

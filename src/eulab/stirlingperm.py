@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import SizeLimitError
-from .exactalg import Poly, mono_from_exps
+from .exactalg import Poly
 
 PRODUCT_GUARD = 10**7
 
@@ -128,7 +128,7 @@ def kth_order_poly(n: int, k: int) -> Poly:
     """
     names = [f"x_{t + 1}" for t in range(k + 1)]
     counts = Counter(tuple(vec) for _, vec in _walk(n, k))
-    return Poly({mono_from_exps(dict(zip(names, key))): c for key, c in counts.items()})
+    return Poly.from_exponents((dict(zip(names, key)), c) for key, c in counts.items())
 
 
 def trivariate_second_order(n: int) -> Poly:

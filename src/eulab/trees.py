@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import SizeLimitError
-from .exactalg import Poly, mono_from_exps
+from .exactalg import Poly
 
 TREE_GUARD = 10**7
 
@@ -196,7 +196,7 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
     deghist      prod m_j^(vertices of degree j-1) over bounded plane on [n]
     """
     spec = default_spec(weighting, maxdeg)
-    acc: Counter = Counter()
+    pairs = []
     for (*counts, root_leaves), ways in Counter(tuple(s) for _, s in _walk(n, spec)).items():
         if weighting == "andre":
             exps = {"u": counts[0], "v": counts[1] if len(counts) > 1 else 0}
@@ -207,18 +207,13 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
             exps = {"x": counts[0]}
         else:  # chenfu-3 / deghist
             exps = {f"m_{j + 1}": c for j, c in enumerate(counts) if c}
-        acc[mono_from_exps(exps)] += ways
-    return Poly(acc)
+        pairs.append((exps, ways))
+    return Poly.from_exponents(pairs)
 
 
 def histogram_table(n: int, maxdeg: int | None = None) -> dict[tuple[int, ...], int]:
     """Degree-histogram counts (i_1..i_n) over plane trees on [n] (tree route)."""
-    table: dict[tuple[int, ...], int] = {}
-    for mono, coeff in tree_weight_poly(n, "deghist", maxdeg).items():
-        exps = dict(mono)
-        key = tuple(exps.get(f"m_{j}", 0) for j in range(1, n + 1))
-        table[key] = table.get(key, 0) + coeff
-    return table
+    return tree_weight_poly(n, "deghist", maxdeg).exponent_table([f"m_{j}" for j in range(1, n + 1)])
 
 
 def leaf_counts_plane(n: int) -> dict[int, int]:

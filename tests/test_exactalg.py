@@ -228,9 +228,22 @@ def symmetrized(p, variables):
     return poly_sum(p.subst(dict(zip(variables, map(Poly.var, perm)))) for perm in perms)
 
 
+def exponent_table_by_lookup(p, letters):
+    """Set the other letters to 1, then look up every exponent vector in the degree box."""
+    q = p.subst({v: 1 for v in p.variables() if v not in letters})
+    box = itertools.product(*(range(q.degree_in(v) + 1) for v in letters))
+    table = {key: q.coefficient(dict(zip(letters, key))) for key in box}
+    return {key: c for key, c in table.items() if c}
+
+
 images = st.one_of(coefficients(), polys(variables=("x", "u"), max_terms=3, max_exp=2))
 variable_lists = st.sampled_from([["x", "y"], ["x", "y", "s"], ["s", "x"], ["x", "y", "w"]])
 monomials = st.fixed_dictionaries({v: st.integers(0, 2) for v in ("x", "y", "u")})
+letter_lists = st.sampled_from([(), ("x",), ("y", "x"), ("x", "w"), ("s", "x", "y"), ("w", "y", "s", "x")])
+exponent_pairs = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(["x", "y", "u"]), st.integers(0, 2)), coefficients()),
+    max_size=6,
+)
 
 
 class TestKernelAgainstReferences:
@@ -266,3 +279,23 @@ class TestKernelAgainstReferences:
         stray = Poly.monomial(exps)  # each term of q * m has a higher power of x
         with pytest.raises(InexactDivisionError):
             (q * m + stray).divexact(m)
+
+    @given(polys(), letter_lists)
+    def test_exponent_table_equals_lookup(self, p, letters):
+        assert p.exponent_table(letters) == exponent_table_by_lookup(p, letters)
+
+    @given(polys(), letter_lists)
+    def test_exponent_table_drops_cancelled_sums(self, p, letters):
+        # swapping y and s permutes the monomials of each (x, w) class, so every sum cancels
+        swapped = p.subst({"y": s, "s": y})
+        assert (p - swapped).exponent_table([v for v in letters if v in ("x", "w")]) == {}
+
+    @given(exponent_pairs)
+    def test_from_exponents_equals_sum_of_monomials(self, pairs):
+        assert Poly.from_exponents(pairs) == poly_sum(Poly.monomial(e, c) for e, c in pairs)
+
+    @given(polys())
+    def test_from_exponents_inverts_exponent_table(self, p):
+        letters = ("s", "x", "y")
+        table = p.exponent_table(letters)
+        assert Poly.from_exponents((dict(zip(letters, key)), c) for key, c in table.items()) == p

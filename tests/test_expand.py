@@ -119,6 +119,11 @@ class TestPartialGammaExpand:
         with pytest.raises(NotExpandableError):
             partial_gamma_expand(x**2 + y**2, 1)
 
+    def test_t_degree_above_n_rejected(self):
+        # (s+y)^2 is the single slice t^2; s^2 alone would stop at its asymmetric t^0 slice
+        with pytest.raises(NotExpandableError, match="t-degree 2 exceeds n=1"):
+            partial_gamma_expand((s + y) ** 2, 1)
+
     def test_specialization_collapses_to_gamma_basis(self):
         # setting y = 1 then s = x must reproduce the one-variable expansion
         for n in range(1, 8):

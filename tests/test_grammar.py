@@ -1,11 +1,12 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import polys
 from eulab import permstats, stirlingperm, trees
-from eulab.exactalg import Poly
+from eulab.exactalg import Poly, poly_sum
 from eulab.grammar import (
     catalog,
     e_exponent_table,
@@ -25,6 +26,35 @@ from eulab.grammar import (
 
 x, y, s, u, v, t = (Poly.var(c) for c in "xysuvt")
 L, M, I = Poly.var("L"), Poly.var("M"), Poly.var("I")
+
+GRAMMAR_NAMES = [f"G{i}" for i in range(1, 9)] + [f"G{j}:{k}" for j in (9, 10) for k in range(1, 5)]
+
+
+def derive_term_by_term(g, p):
+    """D_G by the Leibniz rule, one monomial and one letter at a time."""
+    parts = []
+    for mono, coeff in p.items():
+        for i, (letter, e) in enumerate(mono):
+            rule = g.rules.get(letter)
+            if rule is None:
+                continue
+            if e == 1:
+                rest = mono[:i] + mono[i + 1 :]
+            else:
+                rest = mono[:i] + ((letter, e - 1),) + mono[i + 1 :]
+            parts.append(rule * Poly({rest: coeff * e}))
+    return poly_sum(parts)
+
+
+def letters(g):
+    """The rule letters of a grammar and every letter its rules use."""
+    return tuple(sorted(set(g.rules).union(*(rule.variables() for rule in g.rules.values()))))
+
+
+@st.composite
+def grammar_and_poly(draw):
+    g = catalog(draw(st.sampled_from(GRAMMAR_NAMES)))
+    return g, draw(polys(variables=letters(g), max_terms=4, max_exp=2))
 
 
 class TestDerive:
@@ -50,6 +80,11 @@ class TestDerive:
     def test_derivation_satisfies_leibniz(self, p, q):
         g = g5()
         assert g.derive(p * q) == g.derive(p) * q + p * g.derive(q)
+
+    @given(grammar_and_poly())
+    def test_derive_equals_term_by_term_leibniz(self, case):
+        g, p = case
+        assert g.derive(p) == derive_term_by_term(g, p)
 
 
 class TestIterate:
