@@ -6,6 +6,10 @@ were changed: of ``G5^k(LM)/LM`` as Poly JSON for k <= 12, of the
 ``eulab expand partial-gamma --n k`` output fed that JSON, of the
 ``eulab expand esym`` output fed ``G9:k`` iterates (k = 2, 3), and of the
 Poly JSON of every coefficient of ``egf_build("trivariate", 10)``.
+
+Recorded at commit a7557aa, before the series stored divided-power numerators:
+the coefficient JSON of ``egf_build("trivariate", 20)``, of ``egf_build(name, 12)``
+for the other symbolic EGFs, and of ``egf_build("gamma-xy", 30)`` at two points.
 """
 
 import contextlib
@@ -13,6 +17,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,15 @@ DIGESTS = json.loads(Path(__file__).with_name("algebra_digests.json").read_text(
 
 #: iterate counts behind the esym pins, per multiplicity k of G9:k
 ESYM_STEPS = {2: range(1, 11), 3: range(1, 9)}
+
+#: the symbolic EGFs pinned beyond ``egf_build("trivariate", 10)``, with their orders
+EGF_PINNED = (
+    ("trivariate", 20),
+    *((name, 12) for name in ("fixpoint", "bivariate", "no-succession", "derangement")),
+)
+
+#: the gamma-xy points (x, y) pinned at order 30; 2y - 1 is 1/4 and 9/4
+GAMMA_XY_PINNED = (("-1/2", "5/8"), ("2/3", "13/8"))
 
 
 def sha256(text: str) -> str:
@@ -51,8 +65,16 @@ def expand_output(argv: list[str], payload: str) -> str:
     return out.getvalue()
 
 
+def egf_json(name: str, order: int, params: dict | None = None) -> str:
+    return json.dumps([c.to_json() for c in egf_build(name, order, params).coeffs])
+
+
 def trivariate_egf(order: int) -> str:
-    return json.dumps([c.to_json() for c in egf_build("trivariate", order).coeffs])
+    return egf_json("trivariate", order)
+
+
+def gamma_xy_egf(x: str, y: str, order: int) -> str:
+    return egf_json("gamma-xy", order, {"x": Fraction(x), "y": Fraction(y)})
 
 
 def record() -> dict:
@@ -69,6 +91,8 @@ def record() -> dict:
             for steps in counts
         ],
         "trivariate_egf": [[10, sha256(trivariate_egf(10))]],
+        "egf": [[name, order, sha256(egf_json(name, order))] for name, order in EGF_PINNED],
+        "gamma_xy_egf": [[x, y, 30, sha256(gamma_xy_egf(x, y, 30))] for x, y in GAMMA_XY_PINNED],
     }
 
 
@@ -100,6 +124,16 @@ def test_esym_output(args, digest):
 @rows("trivariate_egf")
 def test_trivariate_egf(args, digest):
     assert sha256(trivariate_egf(*args)) == digest
+
+
+@rows("egf")
+def test_egf(args, digest):
+    assert sha256(egf_json(*args)) == digest
+
+
+@rows("gamma_xy_egf")
+def test_gamma_xy_egf(args, digest):
+    assert sha256(gamma_xy_egf(*args)) == digest
 
 
 if __name__ == "__main__":
