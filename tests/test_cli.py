@@ -56,6 +56,11 @@ class TestVerify:
         assert [r["status"] for r in json.loads(out)] == ["guard"]
         assert err.startswith("size guard:")
 
+    def test_pde_at_order_zero_is_empty(self, capsys):
+        code, out, _ = run(capsys, ["verify", "trivariate-pde", "--max-n", "0", "--json"])
+        assert code == 1
+        assert [r["status"] for r in json.loads(out)] == ["empty"]
+
     def test_restricted_multiplicity(self, capsys):
         code, out, _ = run(capsys, ["verify", "mainthm-esym", "--max-n", "5", "--k", "3"])
         assert code == 0

@@ -1,9 +1,12 @@
 """The exact kernel against sympy's ``Poly`` over QQ, an independent implementation.
 
+The EGF numerators are checked against sympy's truncated power series
+(``sympy.polys.ring_series``) of the closed forms in the ``egf_build`` docstring.
 sympy is a test aid only: without it this module is skipped.
 """
 
 import itertools
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -12,9 +15,11 @@ from hypothesis import given
 from conftest import coefficients, polys
 from eulab.errors import InexactDivisionError
 from eulab.exactalg import Poly, poly_sum
+from eulab.series import egf_build
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.polyerrors import ExactQuotientFailed  # noqa: E402
+from sympy.polys.ring_series import rs_exp, rs_mul, rs_series_inversion  # noqa: E402
 
 NAMES = ("s", "u", "w", "x", "y")
 GENS = sympy.symbols(NAMES)
@@ -89,3 +94,37 @@ class TestKernelAgainstSympy:
             key = table[index % len(table)]
             cand = cand + Poly.from_exponents([(dict(zip(NAMES, key)), delta)])
         assert cand.is_symmetric(variables) == sympy_symmetric(cand, variables)
+
+
+#: the EGF numerators n! [z^n] compared, for n = 0 .. EGF_ORDER
+EGF_ORDER = 7
+FIELD = sympy.QQ.frac_field(*sympy.symbols("x y s"))
+
+
+def sympy_egf(name):
+    """The closed form of ``name`` as a series in z over QQ(x, y, s), to O(z^(EGF_ORDER + 1))."""
+    _, z = sympy.polys.rings.ring("z", FIELD)
+    x, y, s = FIELD.gens
+    prec = EGF_ORDER + 1
+
+    def e(c):
+        return rs_exp(c * z, z, prec)
+
+    core = (y - x) * rs_series_inversion(y * e(x) - x * e(y), z, prec)
+    forms = {
+        "trivariate": lambda: rs_mul(rs_mul(e(y + s), core, z, prec), core, z, prec),
+        "fixpoint": lambda: rs_mul(e(s), core, z, prec),
+        "bivariate": lambda: rs_mul(e(y), core, z, prec),
+        "no-succession": lambda: (1 - x) * rs_series_inversion(e(x) - x * e(FIELD.one), z, prec),
+    }
+    return forms[name]()
+
+
+class TestSeriesAgainstSympy:
+    @pytest.mark.parametrize("name", ["trivariate", "fixpoint", "bivariate", "no-succession"])
+    def test_egf_numerators(self, name):
+        expected = sympy_egf(name)
+        series = egf_build(name, EGF_ORDER)
+        for n in range(EGF_ORDER + 1):
+            got = FIELD.from_sympy(to_sympy(series.egf_coefficient(n)).as_expr())
+            assert got == expected.get((n,), FIELD.zero) * factorial(n), (name, n)

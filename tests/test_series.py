@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -84,6 +85,11 @@ class TestArith:
     def test_diff_z(self):
         e = Series.exp_zp(x, 6)
         assert e.diff_z() == (e * x).truncate(5)
+
+    def test_diff_z_at_order_zero_is_unknown(self):
+        # the z^0 coefficient of the derivative is the untracked a_1
+        with pytest.raises(ValueError, match="order 0"):
+            Series([1, 2], 0).diff_z()
 
 
 class TestErrors:
@@ -176,6 +182,28 @@ class TestAgainstNaiveLoops:
     @given(series(zero_constant=True))
     def test_exp(self, a):
         assert a.exp() == naive_exp(a)
+
+
+SYMBOLIC_EGFS = ("trivariate", "fixpoint", "bivariate", "no-succession", "derangement")
+
+
+class TestDividedPowerForm:
+    """A series keeps its numerators n! [z^n]; the symbolic EGFs never leave the integers."""
+
+    @pytest.mark.parametrize("name", SYMBOLIC_EGFS)
+    def test_symbolic_numerators_are_integer_polynomials(self, name):
+        series = egf_build(name, 12)
+        assert len(series.h) == 13
+        for n, h in enumerate(series.h):
+            assert all(type(c) is int for _, c in h.items()), (name, n)
+            assert series.egf_coefficient(n) == series.coefficient(n).scale(factorial(n))
+
+    @given(st.lists(polys(), min_size=1, max_size=6), st.integers(0, 7))
+    def test_coeffs_round_trip(self, cs, order):
+        assert Series(cs).coeffs == tuple(cs)
+        padded = (cs + [Poly.zero()] * order)[: order + 1]
+        assert Series(cs, order).coeffs == tuple(padded)
+        assert [Series(cs, order).coefficient(n) for n in range(order + 1)] == padded
 
 
 class TestOrderGuard:
