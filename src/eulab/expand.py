@@ -1,9 +1,8 @@
 """Basis-expansion solvers and recurrence-driven gamma tables.
 
-All four expansions are computed by deterministic peeling / leading-term
-reduction rather than linear algebra: peeling yields the unique coefficients
-one at a time, leaves a zero-residual certificate, and localizes errors on
-malformed input (asymmetric slice, nonzero residual).
+Each solver peels coefficients: it reads one basis coefficient and subtracts that
+element's coefficients from a dense list or (esym) a table of partitions, so no basis
+polynomial is built.  ``Expansion.reconstruct`` writes them out: it is the certificate.
 """
 
 from __future__ import annotations
@@ -11,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -51,16 +52,10 @@ class Expansion:
 
     def reconstruct(self) -> Poly:
         """Substitute the basis polynomials back in; must reproduce the input."""
-        if self.basis == "gamma":
+        if self.basis in ("gamma", "frobenius"):
             v = Poly.var(self.var)
-            return poly_sum(
-                c * v ** k[0] * (1 + v) ** (self.n - 2 * k[0]) for k, c in self.coeffs.items()
-            )
-        if self.basis == "frobenius":
-            v = Poly.var(self.var)
-            return poly_sum(
-                c * v ** k[0] * (1 - v) ** (self.n - k[0]) for k, c in self.coeffs.items()
-            )
+            step, w = (2, 1 + v) if self.basis == "gamma" else (1, 1 - v)
+            return poly_sum(c * v**k * w ** (self.n - step * k) for (k,), c in self.coeffs.items())
         if self.basis == "partial-gamma":
             x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
             return poly_sum(
@@ -68,58 +63,47 @@ class Expansion:
                 for (i, j), c in self.coeffs.items()
             )
         if self.basis == "esym":
-            parts = []
-            for exps, c in self.coeffs.items():
-                term = Poly.const(c)
-                for i, b in enumerate(exps, start=1):
-                    if b:
-                        term = term * elementary_symmetric(self.variables, i) ** b
-                parts.append(term)
-            return poly_sum(parts)
+            e = [elementary_symmetric(self.variables, i) for i in range(1, len(self.variables) + 1)]
+            return poly_sum(
+                prod((ei**bi for ei, bi in zip(e, b) if bi), start=Poly.const(c))
+                for b, c in self.coeffs.items()
+            )
         raise ValueError(f"unknown basis {self.basis!r}")
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], Rational]]:
         return sorted(self.coeffs.items())
 
 
-def gamma_expand(f: Poly, var: str, n: int) -> Expansion:
-    """Expand a palindromic polynomial in the basis v^k (1+v)^(n-2k)."""
-    coeffs = f.coeffs_in(var)  # also enforces univariateness
+def _peel(coeffs: list[Rational], n: int, step: int, sign: int) -> dict[tuple[int, ...], Rational]:
+    """Peel c_k v^k (1 + sign*v)^(n - step*k) off a dense coefficient list, lowest k first."""
     if len(coeffs) - 1 > n:
         raise ValueError(f"degree {len(coeffs) - 1} exceeds n={n}")
-    if not f.is_palindromic(var, n):
-        raise NotPalindromicError(f"coefficients of {var}^i and {var}^(n-i) differ")
-    v = Poly.var(var)
-    residual = f
+    coeffs = coeffs + [0] * (n + 1 - len(coeffs))
     out: dict[tuple[int, ...], Rational] = {}
-    for k in range(n // 2 + 1):
-        c = residual.coefficient({var: k})
+    for k in range(n // step + 1):
+        c = coeffs[k]
         if c:
             out[(k,)] = c
-            residual = residual - c * v**k * (1 + v) ** (n - 2 * k)
-    if residual:
-        raise NotExpandableError("nonzero residual after gamma peeling")
-    return Expansion(basis="gamma", coeffs=out, n=n, var=var)
+            w = n - step * k
+            for i in range(w + 1):
+                coeffs[k + i] -= c * sign**i * comb(w, i)
+    if any(coeffs):
+        raise NotExpandableError("nonzero residual after peeling")
+    return out
+
+
+def gamma_expand(f: Poly, var: str, n: int) -> Expansion:
+    """Expand a palindromic polynomial in the basis v^k (1+v)^(n-2k)."""
+    if not f.is_palindromic(var, n):  # a ValueError unless univariate of degree <= n
+        raise NotPalindromicError(f"coefficients of {var}^i and {var}^(n-i) differ")
+    return Expansion(basis="gamma", coeffs=_peel(f.coeffs_in(var), n, 2, 1), n=n, var=var)
 
 
 def frobenius_expand(f: Poly, var: str, n: int) -> Expansion:
     """Expand a polynomial vanishing at 0 in the basis v^k (1-v)^(n-k), k >= 1."""
-    coeffs = f.coeffs_in(var)
-    if len(coeffs) - 1 > n:
-        raise ValueError(f"degree {len(coeffs) - 1} exceeds n={n}")
-    if f.coefficient({}) != 0:
+    if f.constant_term():
         raise NotExpandableError("constant term must vanish (expected the x*A_n(x) shape)")
-    v = Poly.var(var)
-    residual = f
-    out: dict[tuple[int, ...], Rational] = {}
-    for k in range(1, n + 1):
-        c = residual.coefficient({var: k})
-        if c:
-            out[(k,)] = c
-            residual = residual - c * v**k * (1 - v) ** (n - k)
-    if residual:
-        raise NotExpandableError("nonzero residual after Frobenius peeling")
-    return Expansion(basis="frobenius", coeffs=out, n=n, var=var)
+    return Expansion(basis="frobenius", coeffs=_peel(f.coeffs_in(var), n, 1, -1), n=n, var=var)
 
 
 def partial_gamma_expand(f: Poly, n: int) -> Expansion:
@@ -146,19 +130,43 @@ def partial_gamma_expand(f: Poly, n: int) -> Expansion:
         if any(a + b != d for a, b in terms):
             raise NotExpandableError(f"coefficient of (s+y)^{i} is not homogeneous of degree {d}")
         # at y = 1 the slice is palindromic of degree d, and (2x)^j (x+1)^(d-2j) is its basis
-        at_y1 = Poly.from_exponents(({"x": a}, c) for (a, _), c in terms.items())
-        for (j,), c in gamma_expand(at_y1, "x", d).coeffs.items():
+        at_y1 = [terms.get((a, d - a), 0) for a in range(d + 1)]
+        for (j,), c in _peel(at_y1, d, 2, 1).items():
             gamma = Fraction(c) / 2**j
             out[(i, j)] = int(gamma) if gamma.denominator == 1 else gamma
     return Expansion(basis="partial-gamma", coeffs=out, n=n)
 
 
+def _e_coefficient(mu: tuple[int, ...], lam: tuple[int, ...], memo: dict) -> int:
+    """[x^lam] e_mu_1 e_mu_2 ...: the 0-1 matrices with row sums mu and column sums lam."""
+    if not mu or max(lam, default=0) > len(mu):  # a column holds at most one 1 per row
+        return int(not any(lam))
+    if (mu, lam) not in memo:
+        total = 0  # row 1 has its mu_1 ones in positive columns; column order is immaterial
+        for cols in combinations([j for j, c in enumerate(lam) if c], mu[0]):
+            rest = sorted((c - (j in cols) for j, c in enumerate(lam)), reverse=True)
+            total += _e_coefficient(mu[1:], tuple(rest), memo)
+        memo[mu, lam] = total
+    return memo[mu, lam]
+
+
+def _partitions(d: int, parts: int, top: int) -> list[tuple[int, ...]]:
+    """The weakly decreasing ``parts``-tuples with sum d and entries at most ``top``."""
+    if parts == 0:
+        return [()] if d == 0 else []
+    return [
+        (first,) + rest
+        for first in range(min(d, top), (d - 1) // parts, -1)  # first >= d / parts
+        for rest in _partitions(d - first, parts - 1, first)
+    ]
+
+
 def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
     """Express a symmetric polynomial in monomials of e_1..e_m (leading-term reduction).
 
-    The exponent of e_i in each reduction step is a_i - a_{i+1} where a is
-    the leading exponent vector; the loop strictly decreases the leading
-    monomial, so termination certifies the expansion.
+    A symmetric polynomial is fixed by its coefficients at partitions.  The leading
+    partition a gives the exponent b_i = a_i - a_{i+1} (a_{m+1} = 0) of e_i, and
+    c e^b is subtracted at every partition of |a|, which removes a from the table.
     """
     variables = tuple(variables)
     stray = set(f.variables()) - set(variables)
@@ -166,27 +174,19 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
         raise NotSymmetricError(f"polynomial uses variables outside the given set: {sorted(stray)}")
     if not f.is_symmetric(variables):
         raise NotSymmetricError("polynomial is not symmetric in the given variables")
-    m = len(variables)
-    if m == 0:
-        # constant polynomial: the only basis monomial is the empty product
-        coeffs = {(): f.constant_value()} if f else {}
-        return Expansion(basis="esym", coeffs=coeffs, variables=variables)
-    e_cache = [elementary_symmetric(variables, i) for i in range(m + 1)]
+    table = f.exponent_table(variables)
+    table = {a: c for a, c in table.items() if list(a) == sorted(a, reverse=True)}
     out: dict[tuple[int, ...], Rational] = {}
-    residual = f
-    while residual:
-        table = residual.exponent_table(variables)
-        a = max(table, key=lambda vec: (sum(vec), vec))  # graded-lex leading exponents
+    while table:
+        a = max(table, key=lambda vec: (sum(vec), vec))  # graded-lex leading partition
         c = table[a]
-        if any(a[i] < a[i + 1] for i in range(m - 1)):
-            raise NotSymmetricError("leading exponent vector is not weakly decreasing")
-        b = tuple(a[i] - a[i + 1] for i in range(m - 1)) + (a[m - 1],)
-        term = Poly.const(c)
-        for i, bi in enumerate(b, start=1):
-            if bi:
-                term = term * e_cache[i] ** bi
-        out[b] = out.get(b, 0) + c
-        residual = residual - term
+        b = tuple(ai - aj for ai, aj in zip(a, a[1:] + (0,)))
+        out[b] = c
+        mu = tuple(i for i in range(len(b), 0, -1) for _ in range(b[i - 1]))
+        memo: dict = {}  # per step: the next mu shares few states, and memory stays small
+        for lam in _partitions(sum(a), len(a), max(a, default=0)):
+            table[lam] = table.get(lam, 0) - c * _e_coefficient(mu, lam, memo)
+        table = {lam: v for lam, v in table.items() if v}
     return Expansion(basis="esym", coeffs=out, variables=variables)
 
 

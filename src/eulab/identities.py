@@ -92,9 +92,9 @@ def _iterates(g: grammar.Grammar, seed: Poly) -> Iterator[Poly]:
 
 
 def _series_cases(lhs: Series, rhs: Series, order: int, **extra) -> Iterator[Case]:
-    """Compare two series coefficient by coefficient up to z^order."""
+    """Compare two series by their EGF numerators n! [z^n] up to z^order."""
     for n in range(order + 1):
-        yield n, lhs.coefficient(n), rhs.coefficient(n), extra
+        yield n, lhs.egf_coefficient(n), rhs.egf_coefficient(n), extra
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +107,8 @@ def _frobenius(max_n: int, k: int | None) -> Iterator[Case]:
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = x * permstats.perm_poly(n, "eulerian")
-        rhs = poly_sum(
-            permstats.triangle("surjection", n, m) * x**m * (1 - x) ** (n - m)
-            for m in range(1, n + 1)
-        )
+        surjections = {(m,): permstats.triangle("surjection", n, m) for m in range(1, n + 1)}
+        rhs = expand.Expansion("frobenius", surjections, n=n, var="x").reconstruct()
         yield n, lhs, rhs, {}
 
 
@@ -124,11 +122,11 @@ def _gamma_eulerian(max_n: int, k: int | None) -> Iterator[Case]:
 
 def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
     permstats.guard(max_n)
-    x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = permstats.perm_poly(n, "eulerian").scale(2 ** (n - 1))
         peaks = permstats.perm_poly(n, "peak").exponent_table(["x"])
-        rhs = poly_sum(c * 4**i * x**i * (1 + x) ** (n - 1 - 2 * i) for (i,), c in peaks.items())
+        gamma = {(i,): c * 4**i for (i,), c in peaks.items()}
+        rhs = expand.Expansion("gamma", gamma, n=n - 1, var="x").reconstruct()
         yield n, lhs, rhs, {}
 
 
@@ -238,15 +236,12 @@ def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _chenfu_esym(max_n: int, k: int | None) -> Iterator[Case]:
-    x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
-    e1, e2, e3 = x + y + z, x * y + y * z + z * x, x * y * z
     stirlingperm.guard(max_n, 2)  # the whole range first; the words outnumber the trees
     for n in range(1, max_n + 1):
         gamma_kj = trees.tree_weight_poly(n, "chenfu-3").exponent_table(["m_1", "m_2"])
-        rhs = poly_sum(
-            c * e3**kk * e2**j * e1 ** (2 * n + 1 - 2 * j - 3 * kk)
-            for (kk, j), c in gamma_kj.items()
-        )
+        # gamma_kj[k, j] multiplies e_1^(2n+1-2j-3k) e_2^j e_3^k, the e_i taken in x, y, z
+        esym = {(2 * n + 1 - 2 * j - 3 * kk, j, kk): c for (kk, j), c in gamma_kj.items()}
+        rhs = expand.Expansion("esym", esym, variables=("x", "y", "z")).reconstruct()
         yield n, stirlingperm.trivariate_second_order(n), rhs, {}
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     InexactDivisionError,
@@ -71,10 +71,6 @@ class Series:
     @classmethod
     def const(cls, value: PolyLike, order: int) -> Series:
         return cls([_as_poly(value)], order)
-
-    @classmethod
-    def zero(cls, order: int) -> Series:
-        return cls([Poly.zero()], order)
 
     @classmethod
     def z(cls, order: int) -> Series:
@@ -214,10 +210,6 @@ class Series:
         """Coefficientwise partial derivative in a non-z variable."""
         return Series._of([c.diff(var) for c in self.h], self.order)
 
-    def map_coeffs(self, fn: Callable[[Poly], Poly]) -> Series:
-        """fn applied to each ordinary coefficient [z^n]."""
-        return Series([fn(c) for c in self.coeffs], self.order)
-
     def specialize(self, assignment: Mapping[str, PolyLike]) -> Series:
         sub = {v: _as_poly(p) for v, p in assignment.items()}
         return Series._of([c.subst(sub) for c in self.h], self.order)
@@ -303,12 +295,9 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
         q = rational_sqrt(2 * y0 - 1)
         if q is None:
             raise InvalidParamError(f"2*y-1 = {2 * y0 - 1} is not the square of a rational")
+        # q sec / (q - tan) = q / (q cos - sin)
         half = Fraction(q, 2)
-        cos = cos_series(half, order)
-        sin = sin_series(half, order)
-        sec = Series.const(1, order).div(cos)
-        tan = sin.div(cos)
-        base = (sec * q).div(Series.const(Poly.const(q), order) - tan)
+        base = Series.const(q, order).div(cos_series(half, order) * q - sin_series(half, order))
         x_val: PolyLike = Fraction(params["x"]) if "x" in params else x
         expo = Series.exp_zp(_as_poly(x_val) - 1, order)
         return expo * base * base

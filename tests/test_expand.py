@@ -1,16 +1,21 @@
 from fractions import Fraction
+from itertools import permutations, product
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import coefficients
 from eulab.errors import (
     NotExpandableError,
     NotPalindromicError,
     NotSymmetricError,
     OutOfRangeError,
 )
-from eulab.exactalg import Poly
+from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 from eulab.expand import (
+    _e_coefficient,
     esym_expand,
     frobenius_expand,
     gamma_expand,
@@ -24,6 +29,54 @@ from eulab.series import egf_build
 from eulab.stirlingperm import kth_order_poly
 
 x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
+
+
+# The polynomial peel loops that the coefficient peels replaced, kept as references:
+# each step builds the basis polynomial and subtracts it from the residual.
+
+
+def gamma_peel_reference(f, var, n):
+    v, residual, out = Poly.var(var), f, {}
+    for k in range(n // 2 + 1):
+        c = residual.coefficient({var: k})
+        if c:
+            out[(k,)] = c
+            residual = residual - c * v**k * (1 + v) ** (n - 2 * k)
+    assert not residual
+    return out
+
+
+def frobenius_peel_reference(f, var, n):
+    v, residual, out = Poly.var(var), f, {}
+    for k in range(1, n + 1):
+        c = residual.coefficient({var: k})
+        if c:
+            out[(k,)] = c
+            residual = residual - c * v**k * (1 - v) ** (n - k)
+    assert not residual
+    return out
+
+
+def e_power(variables, b):
+    """e_1^b_1 ... e_m^b_m in the given variables."""
+    term = Poly.one()
+    for i, bi in enumerate(b, start=1):
+        term = term * elementary_symmetric(variables, i) ** bi
+    return term
+
+
+def esym_peel_reference(f, variables):
+    """Leading-term reduction that multiplies out c e_1^b_1 ... e_m^b_m at every step."""
+    m = len(variables)
+    residual, out = f, {}
+    while residual:
+        table = residual.exponent_table(variables)
+        a = max(table, key=lambda vec: (sum(vec), vec))
+        c = table[a]
+        b = tuple(a[i] - a[i + 1] for i in range(m - 1)) + (a[m - 1],)
+        out[b] = out.get(b, 0) + c
+        residual = residual - c * e_power(variables, b)
+    return out
 
 
 class TestGammaExpand:
@@ -254,6 +307,107 @@ class TestRandomizedRecovery:
             for b, c in planted.items():
                 combined[b] = combined.get(b, 0) + c
             assert got == {b: c for b, c in combined.items() if c}
+
+
+@st.composite
+def gamma_inputs(draw):
+    """(f, n): gamma coefficients planted in the basis, or a palindromised random list."""
+    n = draw(st.integers(0, 9))
+    v = Poly.var("x")
+    if draw(st.booleans()):
+        planted = {k: draw(coefficients()) for k in range(n // 2 + 1)}
+        return poly_sum(c * v**k * (1 + v) ** (n - 2 * k) for k, c in planted.items()), n
+    g = [draw(coefficients()) for _ in range(n + 1)]
+    return Poly.from_exponents(({"x": i}, g[i] + g[n - i]) for i in range(n + 1)), n
+
+
+@st.composite
+def frobenius_inputs(draw):
+    """(f, n): Frobenius coefficients planted in the basis, or a random list with no constant."""
+    n = draw(st.integers(1, 9))
+    v = Poly.var("x")
+    if draw(st.booleans()):
+        planted = {k: draw(coefficients()) for k in range(1, n + 1)}
+        return poly_sum(c * v**k * (1 - v) ** (n - k) for k, c in planted.items()), n
+    return Poly.from_exponents(({"x": i}, draw(coefficients())) for i in range(1, n + 1)), n
+
+
+@st.composite
+def esym_inputs(draw):
+    """(f, variables, planted): e-products with rational coefficients, or symmetrised monomials.
+
+    ``planted`` is the expansion when f was built from e-products, else None.
+    """
+    m = draw(st.integers(1, 5))
+    variables = stirling_vars(m - 1)
+    if draw(st.booleans()):
+        planted = {}
+        for _ in range(draw(st.integers(0, 3))):
+            rows = draw(st.lists(st.integers(1, m), max_size=3))
+            b = tuple(rows.count(i) for i in range(1, m + 1))
+            planted[b] = planted.get(b, 0) + draw(coefficients())
+        f = poly_sum(c * e_power(variables, b) for b, c in planted.items())
+        return f, variables, {b: c for b, c in planted.items() if c}
+    exponents = st.tuples(*[st.integers(0, 3)] * m)
+    orbits = draw(st.lists(st.tuples(exponents, coefficients()), max_size=3))
+    f = Poly.from_exponents(
+        (dict(zip(variables, perm)), c) for vec, c in orbits for perm in set(permutations(vec))
+    )
+    return f, variables, None
+
+
+class TestCoefficientPeels:
+    """The coefficient peels against the polynomial peels they replaced."""
+
+    @given(gamma_inputs())
+    def test_gamma_matches_polynomial_peel(self, case):
+        f, n = case
+        assert gamma_expand(f, "x", n).coeffs == gamma_peel_reference(f, "x", n)
+
+    @given(frobenius_inputs())
+    def test_frobenius_matches_polynomial_peel(self, case):
+        f, n = case
+        assert frobenius_expand(f, "x", n).coeffs == frobenius_peel_reference(f, "x", n)
+
+    @settings(deadline=None, max_examples=60)
+    @given(esym_inputs())
+    def test_esym_matches_polynomial_peel(self, case):
+        f, variables, planted = case
+        got = esym_expand(f, variables).coeffs
+        assert got == esym_peel_reference(f, variables)
+        if planted is not None:
+            assert got == planted
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_e_coefficient_is_a_coefficient_of_the_product(self, data):
+        m = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.integers(1, m), max_size=4))
+        variables = stirling_vars(m - 1)
+        mu = tuple(sorted(rows, reverse=True))
+        b = [rows.count(i) for i in range(1, m + 1)]
+        table = e_power(variables, b).exponent_table(variables)
+        memo = {}
+        for lam in product(range(len(mu) + 1), repeat=m):
+            if sum(lam) == sum(mu):
+                assert _e_coefficient(mu, lam, memo) == table.get(lam, 0), lam
+
+    def test_esym_of_a_constant(self):
+        assert esym_expand(Poly.const(Fraction(3, 2)), ()).coeffs == {(): Fraction(3, 2)}
+        assert esym_expand(Poly.zero(), ()).coeffs == {}
+
+    def test_no_polynomial_is_multiplied(self, monkeypatch):
+        eulerian = perm_poly(7, "eulerian")
+        shifted = x * eulerian
+        kth = kth_order_poly(5, 3)
+
+        def forbidden(self, other):
+            raise AssertionError("Poly.__mul__ called")
+
+        monkeypatch.setattr(Poly, "__mul__", forbidden)
+        assert gamma_expand(eulerian, "x", 6).coeffs == {(0,): 1, (1,): 114, (2,): 720, (3,): 272}
+        assert frobenius_expand(shifted, "x", 7).coeffs[(7,)] == factorial(7)
+        assert esym_expand(kth, stirling_vars(3)).is_positive()
 
 
 class TestGammaTables:

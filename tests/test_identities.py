@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from eulab import permstats, stirlingperm, trees
+from eulab import identities, permstats, stirlingperm, trees
+from eulab.exactalg import Poly
 from eulab.identities import _REGISTRY, IDENTITY_NAMES, _first_mismatch, verify
+from eulab.series import Series
 
 
 def _corrupt_at_3(monkeypatch, module, attr):
@@ -39,6 +41,25 @@ def test_corrupted_route_fails_at_first_bad_n(monkeypatch, module, attr, identit
     if k is not None:
         assert report.counterexample["k"] == k
     json.dumps(report.to_obj())
+
+
+def test_series_counterexample_shows_egf_numerators(monkeypatch):
+    """A [z^3] one too large in the trivariate EGF shows as n! [z^n]: a difference of 3! = 6."""
+    build = identities.egf_build
+
+    def corrupted(name, order, params=None):
+        series = build(name, order, params)
+        return series + Series([0, 0, 0, 1], order) if name == "trivariate" else series
+
+    monkeypatch.setattr(identities, "egf_build", corrupted)
+    report = verify("convolution", 5)
+    assert report.status == "fail"
+    counterexample = report.counterexample
+    assert (counterexample["n"], counterexample["route"]) == (3, "egf")
+    lhs = Poly.from_json_obj(counterexample["lhs"])
+    rhs = Poly.from_json_obj(counterexample["rhs"])
+    assert lhs == permstats.perm_poly(4, "trivariate")
+    assert rhs - lhs == 6
 
 
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
