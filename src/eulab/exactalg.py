@@ -1,23 +1,31 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from monomials to exact rational coefficients.
-Monomials are tuples of (variable, exponent) pairs sorted by variable name,
-with zero exponents never stored; coefficients are ``int`` or ``Fraction``
-(integers are kept as ``int`` as an unobservable fast path).  The zero
-polynomial has no terms.  All arithmetic is exact; there is no floating
-point anywhere in this package.
+A polynomial is a mapping from monomials to exact rational coefficients;
+coefficients are ``int`` or ``Fraction`` (integers are kept as ``int`` as an
+unobservable fast path).  The zero polynomial has no terms.  All arithmetic is
+exact; there is no floating point anywhere in this package.
 
-The monomial tuple is private to this module: no other module of the
-package builds or takes one apart.  They read a polynomial as an exponent
-table (``Poly.exponent_table``: exponent vectors of named letters to summed
+A monomial is one packed ``int`` (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Each
+variable owns a field of ``_FIELD_BITS`` bits: the exponent in the low bits
+and one guard bit on top, so an exponent is at most ``MAX_EXPONENT``.  A
+process-wide, append-only registry gives each variable name its field in the
+order names are first seen.  A monomial product is then one integer add, and
+``a`` divides ``b`` exactly when ``(b | guard) - a`` keeps every guard bit.
+A product, power or substitution whose exponent passes ``MAX_EXPONENT`` sets
+a guard bit and raises ``SizeLimitError``; it never wraps into the next field.
+
+The packed format is private to this module: no other module of the package
+builds or takes one apart.  They read a polynomial as an exponent table
+(``Poly.exponent_table``: exponent vectors of named letters to summed
 coefficients), build one from exponent mappings (``Poly.from_exponents``)
-and print its monomials through ``Poly.text_terms``, so a change of monomial
-representation stays inside this file.  ``Poly.items`` still yields the
-tuples for the tests' term-by-term reference implementations.
+and print its monomials through ``Poly.text_terms``.  ``Poly.items`` and
+``Poly.sorted_terms`` decode monomials into ``((name, exponent), ...)``
+tuples sorted by name (the tests' tuple-kernel reference reads them).
 
 Monomials are ordered graded-lexicographically over sorted variable names,
-which fixes a canonical serialization and a leading-term notion used by the
-exact division and symmetric-function reduction routines.
+whatever the registry order, which fixes a canonical serialization and a
+leading-term notion used by the exact division routine.
 """
 
 from __future__ import annotations
@@ -25,20 +33,108 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import InexactDivisionError, PolyParseError
+from .errors import InexactDivisionError, PolyParseError, SizeLimitError
 
 Rational = Union[int, Fraction]
 
-#: A monomial: ((var, exp), ...) sorted by var, every exp > 0.
+#: A decoded monomial: ((var, exp), ...) sorted by var, every exp > 0.
 Mono = tuple[tuple[str, int], ...]
 
-_ONE: Mono = ()
+#: Bits per variable in a packed monomial: the exponent, then one guard bit.
+_FIELD_BITS = 16
+#: The largest exponent a monomial holds; it is also the exponent mask of a field.
+MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
+
+#: The registry: a variable's bit offset, the names by field, and every field's guard bit.
+_SHIFT: dict[str, int] = {}
+_NAMES: list[str] = []
+_GUARD = 0
 
 #: The exact coefficient strings of the wire form: an integer or p/q.
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _shift(name: str) -> int:
+    """The bit offset of ``name``'s field, registering the name on first sight."""
+    s = _SHIFT.get(name)
+    if s is None:
+        global _GUARD
+        s = len(_NAMES) * _FIELD_BITS
+        _SHIFT[name] = s
+        _NAMES.append(name)
+        _GUARD |= 1 << (s + _FIELD_BITS - 1)
+    return s
+
+
+def _encode(exps: Mapping[str, int]) -> int:
+    """Pack an exponent mapping (zeros dropped); ValueError on a bad or too large exponent."""
+    m = 0
+    for v, e in exps.items():
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent of {v!r} must be a nonnegative int, got {e!r}")
+        if e > MAX_EXPONENT:
+            raise ValueError(f"exponent of {v!r} is {e}, above the limit {MAX_EXPONENT}")
+        if e:
+            m |= e << _shift(v)
+    return m
+
+
+def _decode(m: int) -> Mono:
+    pairs = []
+    field = 0
+    while m:
+        e = m & MAX_EXPONENT
+        if e:
+            pairs.append((_NAMES[field], e))
+        m >>= _FIELD_BITS
+        field += 1
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _degree(m: int) -> int:
+    d = 0
+    while m:
+        d += m & MAX_EXPONENT
+        m >>= _FIELD_BITS
+    return d
+
+
+def _grlex_key(universe: Sequence[str]) -> Callable[[int], tuple]:
+    """Graded-lex sort key of a packed monomial: total degree, then exponents along ``universe``."""
+    shifts = [_shift(v) for v in universe]
+    outside = ~sum(MAX_EXPONENT << s for s in shifts)
+
+    def key(m: int) -> tuple:
+        exps = tuple([m >> s & MAX_EXPONENT for s in shifts])
+        rest = m & outside
+        return (sum(exps) + _degree(rest) if rest else sum(exps), exps)
+
+    return key
+
+
+def _mono_div(a: int, b: int) -> int:
+    """a / b; InexactDivisionError unless b divides a."""
+    q = (a | _GUARD) - b  # a field borrows, and so clears its guard bit, iff b's exponent is larger
+    if q & _GUARD != _GUARD:
+        raise InexactDivisionError("polynomial division is not exact")
+    return q ^ _GUARD
+
+
+def _guarded(terms: dict[int, Rational]) -> dict[int, Rational]:
+    """The terms of a product, unless an exponent carried into a guard bit."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise SizeLimitError(f"exponent guard: a product has an exponent above {MAX_EXPONENT}")
+    return terms
+
+
+#: The coefficient type that needs no normalizing.
+_INT = frozenset([int])
 
 
 def _norm_coeff(c: Rational) -> Rational:
@@ -51,82 +147,19 @@ def _norm_coeff(c: Rational) -> Rational:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def mono_from_exps(exps: Mapping[str, int]) -> Mono:
-    """Build a canonical monomial from an exponent mapping (zeros dropped)."""
-    items = []
-    for v, e in exps.items():
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent of {v!r} must be a nonnegative int, got {e!r}")
-        if e:
-            items.append((v, e))
-    items.sort()
-    return tuple(items)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[str, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def mono_div(a: Mono, b: Mono) -> Mono | None:
-    """Return a / b as a monomial, or None when b does not divide a."""
-    if not b:
-        return a
-    da = dict(a)
-    for v, e in b:
-        r = da.get(v, 0) - e
-        if r < 0:
-            return None
-        if r:
-            da[v] = r
-        else:
-            del da[v]
-    return tuple(sorted(da.items()))
-
-
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_key(m: Mono, universe: Sequence[str]) -> tuple:
-    """Graded-lex sort key: total degree first, then exponents along sorted names."""
-    d = dict(m)
-    return (mono_degree(m), tuple(d.get(v, 0) for v in universe))
-
-
 class Poly:
-    """Immutable exact sparse polynomial over Q with named variables."""
+    """Immutable exact sparse polynomial over Q with named variables.
+
+    ``Poly(terms)`` takes packed monomials; outside this module build with
+    ``var``, ``monomial``, ``from_exponents`` or ``from_json``.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Mono, Rational] | None = None):
-        clean: dict[Mono, Rational] = {}
-        if terms:
-            for m, c in terms.items():
-                if type(c) is not int:
-                    c = _norm_coeff(c)
-                if c:
-                    clean[m] = c
+    def __init__(self, terms: Mapping[int, Rational] | None = None):
+        clean = {m: c for m, c in terms.items() if c} if terms else {}
+        if not _INT.issuperset(map(type, clean.values())):
+            clean = {m: _norm_coeff(c) for m, c in clean.items()}
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -137,33 +170,34 @@ class Poly:
 
     @classmethod
     def one(cls) -> Poly:
-        return cls({_ONE: 1})
+        return cls({0: 1})
 
     @classmethod
     def const(cls, c: Rational) -> Poly:
-        return cls({_ONE: c})
+        return cls({0: c})
 
     @classmethod
     def var(cls, name: str) -> Poly:
-        return cls({((name, 1),): 1})
+        return cls({1 << _shift(name): 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: Rational = 1) -> Poly:
-        return cls({mono_from_exps(exps): coeff})
+        return cls({_encode(exps): coeff})
 
     @classmethod
     def from_exponents(cls, pairs: Iterable[tuple[Mapping[str, int], Rational]]) -> Poly:
         """Sum of coeff * prod v^e over (exponent mapping, coeff) pairs; equal monomials add up."""
-        out: dict[Mono, Rational] = {}
+        out: dict[int, Rational] = {}
         for exps, c in pairs:
-            m = mono_from_exps(exps)
+            m = _encode(exps)
             out[m] = out.get(m, 0) + c
         return cls(out)
 
     # -- introspection -----------------------------------------------------
 
     def items(self) -> Iterator[tuple[Mono, Rational]]:
-        return iter(self._terms.items())
+        """The terms with decoded monomials, in storage order."""
+        return ((_decode(m), c) for m, c in self._terms.items())
 
     @property
     def term_count(self) -> int:
@@ -176,28 +210,20 @@ class Poly:
         return not self._terms
 
     def variables(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for m in self._terms:
-            for v, _ in m:
-                seen.add(v)
-        return tuple(sorted(seen))
+        return tuple(v for v, _ in _decode(reduce(or_, self._terms, 0)))
 
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return max(mono_degree(m) for m in self._terms)
+        return max(_degree(m) for m in self._terms)
 
     def degree_in(self, var: str) -> int:
-        deg = 0
-        for m in self._terms:
-            for v, e in m:
-                if v == var and e > deg:
-                    deg = e
-        return deg
+        s = _shift(var)
+        return max((m >> s & MAX_EXPONENT for m in self._terms), default=0)
 
     def coefficient(self, exps: Mapping[str, int]) -> Rational:
         """Coefficient of the given monomial (0 if absent)."""
-        return self._terms.get(mono_from_exps(exps), 0)
+        return self._terms.get(_encode(exps), 0)
 
     def exponent_table(self, letters: Sequence[str]) -> dict[tuple[int, ...], Rational]:
         """Coefficients summed by the exponents of ``letters``, zero sums dropped.
@@ -205,21 +231,21 @@ class Poly:
         A letter a monomial lacks reads exponent 0; letters not listed are
         summed over, as if set to 1.
         """
+        shifts = [_shift(v) for v in letters]
         out: dict[tuple[int, ...], Rational] = {}
         for m, c in self._terms.items():
-            exps = dict(m)
-            key = tuple([exps.get(v, 0) for v in letters])
+            key = tuple([m >> s & MAX_EXPONENT for s in shifts])
             out[key] = out.get(key, 0) + c
         return {key: c for key, c in out.items() if c}
 
     def constant_term(self) -> Rational:
-        return self._terms.get(_ONE, 0)
+        return self._terms.get(0, 0)
 
     def constant_value(self) -> Rational:
         """The value of a constant polynomial; raises if any variable occurs."""
-        if any(m for m in self._terms):
+        if any(self._terms):
             raise ValueError("polynomial is not constant")
-        return self._terms.get(_ONE, 0)
+        return self._terms.get(0, 0)
 
     # -- equality ----------------------------------------------------------
 
@@ -271,12 +297,14 @@ class Poly:
             return NotImplemented
         if not self._terms or not other._terms:
             return Poly.zero()
-        out: dict[Mono, Rational] = {}
+        out: dict[int, Rational] = {}
+        get = out.get
+        bterms = other._terms.items()
         for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        return Poly(out)
+            for mb, cb in bterms:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        return Poly(_guarded(out))
 
     def __rmul__(self, other: Rational) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -306,57 +334,44 @@ class Poly:
 
     def diff(self, var: str) -> Poly:
         """Formal partial derivative with respect to ``var``."""
-        out: dict[Mono, Rational] = {}
-        for m, c in self._terms.items():
-            for i, (v, e) in enumerate(m):
-                if v == var:
-                    if e == 1:
-                        nm = m[:i] + m[i + 1 :]
-                    else:
-                        nm = m[:i] + ((v, e - 1),) + m[i + 1 :]
-                    out[nm] = out.get(nm, 0) + c * e
-                    break
-        return Poly(out)
+        s = _shift(var)
+        unit = 1 << s
+        # m -> m - unit is one-to-one, so no two terms meet
+        return Poly({m - unit: c * e for m, c in self._terms.items() if (e := m >> s & MAX_EXPONENT)})
 
     def subst(self, mapping: Mapping[str, Poly | Rational]) -> Poly:
         """Simultaneous substitution; unmapped variables are left in place."""
-        images: dict[str, Poly] = {}
-        for v, img in mapping.items():
-            images[v] = img if isinstance(img, Poly) else Poly.const(img)
-        power_cache: dict[tuple[str, int], Poly] = {}
-
-        def var_power(v: str, e: int) -> Poly:
-            key = (v, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = images[v] ** e
-                power_cache[key] = got
-            return got
+        images = [  # in name order, so each term's image is built as the monomial reads
+            (_shift(v), img if isinstance(img, Poly) else Poly.const(img))
+            for v, img in sorted(mapping.items(), key=lambda item: item[0])
+        ]
+        power_cache: dict[tuple[int, int], Poly] = {}
 
         # every term goes into one dict: adding Polys would copy the running total per term
-        out: dict[Mono, Rational] = {}
+        out: dict[int, Rational] = {}
         for m, c in self._terms.items():
-            untouched: list[tuple[str, int]] = []
+            rest = m
             image: Poly | None = None
-            for v, e in m:
-                if v in images:
-                    power = var_power(v, e)
+            for s, img in images:
+                e = m >> s & MAX_EXPONENT
+                if e:
+                    power = power_cache.get((s, e))
+                    if power is None:
+                        power = power_cache[s, e] = img**e
                     image = power if image is None else image * power
-                else:
-                    untouched.append((v, e))
-            rest = tuple(untouched)
+                    rest -= e << s
             if image is None:
-                out[rest] = out.get(rest, 0) + c
+                out[m] = out.get(m, 0) + c
                 continue
             for im, ic in image._terms.items():
-                nm = mono_mul(im, rest)
+                nm = im + rest
                 out[nm] = out.get(nm, 0) + ic * c
-        return Poly(out)
+        return Poly(_guarded(out))
 
     def evaluate(self, assign: Mapping[str, Rational]) -> Rational:
         """Evaluate at an exact rational point (all variables must be bound)."""
         total: Rational = Fraction(0)
-        for m, c in self._terms.items():
+        for m, c in self.items():
             term: Rational = Fraction(c)
             for v, e in m:
                 if v not in assign:
@@ -380,16 +395,10 @@ class Poly:
             raise ValueError("variables must be distinct")
         terms = self._terms
         for a, b in zip(vs, vs[1:]):
+            sa, sb = _shift(a), _shift(b)
             for m, c in terms.items():
-                exps = dict(m)
-                ea, eb = exps.pop(a, 0), exps.pop(b, 0)
-                if ea == eb:
-                    continue
-                if eb:
-                    exps[a] = eb
-                if ea:
-                    exps[b] = ea
-                if terms.get(tuple(sorted(exps.items()))) != c:
+                ea, eb = m >> sa & MAX_EXPONENT, m >> sb & MAX_EXPONENT
+                if ea != eb and terms.get(m + ((eb - ea) << sa) + ((ea - eb) << sb)) != c:
                     return False
         return True
 
@@ -406,24 +415,18 @@ class Poly:
         extra = [v for v in self.variables() if v != var]
         if extra:
             raise ValueError(f"polynomial is not univariate in {var!r} (also uses {extra})")
+        s = _shift(var)
         out: list[Rational] = [0] * (self.degree_in(var) + 1)
         for m, c in self._terms.items():
-            out[m[0][1] if m else 0] = c
+            out[m >> s] = c
         return out
 
     # -- ordering, division ------------------------------------------------
 
     def sorted_terms(self, universe: Sequence[str] | None = None) -> list[tuple[Mono, Rational]]:
         """Terms sorted descending by graded-lex order (leading term first)."""
-        uni = tuple(universe) if universe is not None else self.variables()
-        return sorted(self._terms.items(), key=lambda t: mono_key(t[0], uni), reverse=True)
-
-    def leading_term(self, universe: Sequence[str] | None = None) -> tuple[Mono, Rational]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        uni = tuple(universe) if universe is not None else self.variables()
-        m = max(self._terms, key=lambda mo: mono_key(mo, uni))
-        return m, self._terms[m]
+        key = _grlex_key(universe if universe is not None else self.variables())
+        return [(_decode(m), c) for m, c in sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)]
 
     def divexact(self, divisor: Poly) -> Poly:
         """Exact division; raises InexactDivisionError when the quotient is not a Poly."""
@@ -434,23 +437,15 @@ class Poly:
         if len(divisor._terms) == 1:
             # a monomial (or a constant) divides term by term, with no remainder to rescan
             ((dm, dc),) = divisor._terms.items()
-            out: dict[Mono, Rational] = {}
-            for m, c in self._terms.items():
-                qm = mono_div(m, dm)
-                if qm is None:
-                    raise InexactDivisionError("polynomial division is not exact")
-                out[qm] = c if dc == 1 else Fraction(c) / dc
-            return Poly(out)
-        universe = tuple(sorted(set(self.variables()) | set(divisor.variables())))
-        lt_m, lt_c = divisor.leading_term(universe)
+            return Poly({_mono_div(m, dm): c if dc == 1 else Fraction(c) / dc for m, c in self._terms.items()})
+        key = _grlex_key(sorted(set(self.variables()) | set(divisor.variables())))
+        lt_m = max(divisor._terms, key=key)
+        lt_c = Fraction(divisor._terms[lt_m])
         remainder = self
-        quotient: dict[Mono, Rational] = {}
+        quotient: dict[int, Rational] = {}
         while remainder:
-            rm, rc = remainder.leading_term(universe)
-            qm = mono_div(rm, lt_m)
-            if qm is None:
-                raise InexactDivisionError("polynomial division is not exact")
-            qc = _norm_coeff(Fraction(rc) / Fraction(lt_c))
+            rm = max(remainder._terms, key=key)
+            qm, qc = _mono_div(rm, lt_m), _norm_coeff(remainder._terms[rm] / lt_c)
             quotient[qm] = quotient.get(qm, 0) + qc
             remainder = remainder - Poly({qm: qc}) * divisor
         return Poly(quotient)
@@ -471,7 +466,7 @@ class Poly:
     def from_json_obj(cls, obj: object) -> Poly:
         if not isinstance(obj, list):
             raise PolyParseError("polynomial JSON must be an array of terms")
-        terms: dict[Mono, Rational] = {}
+        terms: dict[int, Rational] = {}
         for entry in obj:
             if not isinstance(entry, dict) or set(entry) != {"exponents", "coeff"}:
                 raise PolyParseError(f"bad term entry: {entry!r}")
@@ -482,7 +477,7 @@ class Poly:
                 if v == "" or type(e) is bool:
                     raise PolyParseError(f"bad exponent entry {v!r}: {e!r}")
             try:
-                mono = mono_from_exps(exps)
+                mono = _encode(exps)
             except ValueError as exc:
                 raise PolyParseError(str(exc)) from exc
             raw = entry["coeff"]
@@ -494,7 +489,7 @@ class Poly:
             except ZeroDivisionError as exc:
                 raise PolyParseError(f"bad coefficient {raw!r}") from exc
             if mono in terms:
-                raise PolyParseError(f"duplicate monomial {dict(mono)!r}")
+                raise PolyParseError(f"duplicate monomial {dict(_decode(mono))!r}")
             terms[mono] = coeff
         return cls(terms)
 
@@ -549,9 +544,9 @@ def _coeff_str(c: Rational) -> str:
 
 def poly_sum(parts: Iterable[Poly]) -> Poly:
     """Sum many polynomials with a single normalization pass."""
-    out: dict[Mono, Rational] = {}
+    out: dict[int, Rational] = {}
     for p in parts:
-        for m, c in p.items():
+        for m, c in p._terms.items():
             out[m] = out.get(m, 0) + c
     return Poly(out)
 
@@ -562,7 +557,5 @@ def elementary_symmetric(variables: Sequence[str], k: int) -> Poly:
         return Poly.zero()
     if k == 0:
         return Poly.one()
-    terms: dict[Mono, Rational] = {}
-    for combo in combinations(sorted(variables), k):
-        terms[tuple((v, 1) for v in combo)] = 1
-    return Poly(terms)
+    units = [1 << _shift(v) for v in sorted(variables)]
+    return Poly({sum(combo): 1 for combo in combinations(units, k)})

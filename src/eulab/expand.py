@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, prod
 from typing import Mapping, Sequence
 
@@ -150,15 +150,26 @@ def _e_coefficient(mu: tuple[int, ...], lam: tuple[int, ...], memo: dict) -> int
     return memo[mu, lam]
 
 
-def _partitions(d: int, parts: int, top: int) -> list[tuple[int, ...]]:
-    """The weakly decreasing ``parts``-tuples with sum d and entries at most ``top``."""
-    if parts == 0:
-        return [()] if d == 0 else []
-    return [
-        (first,) + rest
-        for first in range(min(d, top), (d - 1) // parts, -1)  # first >= d / parts
-        for rest in _partitions(d - first, parts - 1, first)
-    ]
+def _dominated(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The weakly decreasing len(a)-tuples with sum |a| that a dominates.
+
+    a dominates lam when every prefix sum of lam is at most a's.  Only there can
+    [x^lam] e_mu be nonzero for mu = a' (Gale-Ryser), so the peeling step skips the rest.
+    """
+    bounds = list(accumulate(a))
+    total = bounds[-1] if a else 0
+
+    def fill(i: int, used: int, top: int) -> list[tuple[int, ...]]:
+        if i == len(a):
+            return [()]
+        low = -(-(total - used) // (len(a) - i))  # no part may be below the mean of what is left
+        return [
+            (first,) + rest
+            for first in range(min(top, bounds[i] - used), low - 1, -1)
+            for rest in fill(i + 1, used + first, first)
+        ]
+
+    return fill(0, 0, total)
 
 
 def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
@@ -166,7 +177,8 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
 
     A symmetric polynomial is fixed by its coefficients at partitions.  The leading
     partition a gives the exponent b_i = a_i - a_{i+1} (a_{m+1} = 0) of e_i, and
-    c e^b is subtracted at every partition of |a|, which removes a from the table.
+    c e^b is subtracted at every partition of |a| that a dominates, which removes a from
+    the table; e^b is zero at the other partitions.
     """
     variables = tuple(variables)
     stray = set(f.variables()) - set(variables)
@@ -184,7 +196,7 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
         out[b] = c
         mu = tuple(i for i in range(len(b), 0, -1) for _ in range(b[i - 1]))
         memo: dict = {}  # per step: the next mu shares few states, and memory stays small
-        for lam in _partitions(sum(a), len(a), max(a, default=0)):
+        for lam in _dominated(a):
             table[lam] = table.get(lam, 0) - c * _e_coefficient(mu, lam, memo)
         table = {lam: v for lam, v in table.items() if v}
     return Expansion(basis="esym", coeffs=out, variables=variables)

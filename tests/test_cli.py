@@ -5,7 +5,7 @@ import time
 import pytest
 
 from eulab.cli import main
-from eulab.exactalg import Poly
+from eulab.exactalg import MAX_EXPONENT, Poly
 from eulab.permstats import perm_poly
 
 x = Poly.var("x")
@@ -215,6 +215,12 @@ class TestExpand:
     def test_parse_error_exit_code(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["expand", "gamma"], stdin="not json", monkeypatch=monkeypatch)
         assert code == 4
+
+    def test_exponent_above_the_limit_exit_code(self, capsys, monkeypatch):
+        payload = json.dumps([{"coeff": "1", "exponents": {"x_1": MAX_EXPONENT + 1}}])
+        code, _, err = run(capsys, ["expand", "esym"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 4
+        assert "limit" in err
 
     def test_precondition_error_exit_code(self, capsys, monkeypatch):
         payload = (1 + 2 * x).to_json()

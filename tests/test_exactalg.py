@@ -265,7 +265,7 @@ class TestKernelAgainstReferences:
         if sym:
             terms = sorted(sym.items())
             mono, _ = terms[index % len(terms)]
-            perturbed = sym + Poly({mono: delta})
+            perturbed = sym + Poly.monomial(dict(mono), delta)
             assert perturbed.is_symmetric(variables) == symmetric_by_subst(perturbed, variables)
 
     @given(polys(variables=("x", "y", "u")), monomials, coefficients().filter(bool))

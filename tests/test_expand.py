@@ -15,6 +15,7 @@ from eulab.errors import (
 )
 from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 from eulab.expand import (
+    _dominated,
     _e_coefficient,
     esym_expand,
     frobenius_expand,
@@ -233,6 +234,44 @@ class TestEsymExpand:
                 expansion = esym_expand(kth_order_poly(n, k), stirling_vars(k))
                 assert expansion.is_positive(), (k, n)
                 assert dict(expansion.coeffs) == e_exponent_table(p, k), (k, n)
+
+
+def weak_partitions(total, parts):
+    """Every weakly decreasing ``parts``-tuple of nonnegative integers with the given sum."""
+    return [
+        lam
+        for lam in product(range(total + 1), repeat=parts)
+        if sum(lam) == total and list(lam) == sorted(lam, reverse=True)
+    ]
+
+
+def dominates(a, lam):
+    return all(sum(lam[:i]) <= sum(a[:i]) for i in range(1, len(a) + 1))
+
+
+@st.composite
+def leading_partitions(draw):
+    """A partition a with 1..4 parts (zeros allowed) and |a| <= 7, and mu = a' as esym_expand forms it."""
+    a = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)), reverse=True))
+    b = tuple(ai - aj for ai, aj in zip(a, a[1:] + (0,)))
+    return a, tuple(i for i in range(len(b), 0, -1) for _ in range(b[i - 1]))
+
+
+class TestDominanceFilter:
+    """[x^lam] e_mu is 0 unless a = mu' dominates lam (Gale-Ryser), so only those lam are peeled."""
+
+    @given(leading_partitions())
+    def test_e_coefficient_vanishes_off_the_dominated_partitions(self, case):
+        a, mu = case
+        for lam in weak_partitions(sum(a), len(a)):
+            coefficient = _e_coefficient(mu, lam, {})
+            assert (coefficient > 0) == dominates(a, lam), (a, lam, coefficient)
+
+    @given(leading_partitions())
+    def test_dominated_lists_exactly_those(self, case):
+        a, _ = case
+        want = [lam for lam in weak_partitions(sum(a), len(a)) if dominates(a, lam)]
+        assert sorted(_dominated(a)) == want
 
 
 class TestRandomizedRecovery:

@@ -42,7 +42,7 @@ def derive_term_by_term(g, p):
                 rest = mono[:i] + mono[i + 1 :]
             else:
                 rest = mono[:i] + ((letter, e - 1),) + mono[i + 1 :]
-            parts.append(rule * Poly({rest: coeff * e}))
+            parts.append(rule * Poly.monomial(dict(rest), coeff * e))
     return poly_sum(parts)
 
 
