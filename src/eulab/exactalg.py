@@ -107,7 +107,7 @@ def _degree(m: int) -> int:
 
 def _grlex_key(universe: Sequence[str]) -> Callable[[int], tuple]:
     """Graded-lex sort key of a packed monomial: total degree, then exponents along ``universe``."""
-    shifts = [_shift(v) for v in universe]
+    shifts = list(dict.fromkeys(_shift(v) for v in universe))  # a repeated name orders nothing more
     outside = ~sum(MAX_EXPONENT << s for s in shifts)
 
     def key(m: int) -> tuple:
