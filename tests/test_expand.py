@@ -251,7 +251,7 @@ def dominates(a, lam):
 
 @st.composite
 def leading_partitions(draw):
-    """A partition a with 1..4 parts (zeros allowed) and |a| <= 7, and mu = a' as esym_expand forms it."""
+    """A partition a with 1..4 parts of at most 3 (zeros allowed), and mu = a' as esym_expand forms it."""
     a = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)), reverse=True))
     b = tuple(ai - aj for ai, aj in zip(a, a[1:] + (0,)))
     return a, tuple(i for i in range(len(b), 0, -1) for _ in range(b[i - 1]))

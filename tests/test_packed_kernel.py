@@ -214,14 +214,14 @@ class TestExponentLimit:
 
     @pytest.mark.parametrize("e", [LIMIT - 1, LIMIT, LIMIT + 1])
     def test_mul(self, e):
-        # w_a's field lies just below w_b's and w_c's: a wrapped carry would land there
-        left, right = power_of("w_a", e - 1) * Poly.var("w_c"), Poly.var("w_a") + Poly.var("w_b")
+        # w_c's field lies just below w_b's (registered above), so a wrapped carry would land in w_b
+        left, right = power_of("w_c", e - 1) * Poly.var("w_b"), Poly.var("w_c") + Poly.var("w_a")
         if e > LIMIT:
             with pytest.raises(SizeLimitError):
                 left * right
         else:
             product = left * right
-            assert product.exponent_table(["w_a", "w_b", "w_c"]) == {(e, 0, 1): 1, (e - 1, 1, 1): 1}
+            assert product.exponent_table(["w_c", "w_b", "w_a"]) == {(e, 1, 0): 1, (e - 1, 1, 1): 1}
 
     @pytest.mark.parametrize("e", [LIMIT - 1, LIMIT, LIMIT + 1])
     def test_pow(self, e):
