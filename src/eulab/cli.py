@@ -17,18 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import expand as expand_mod
 from . import identities, permstats, stirlingperm, trees
-from .errors import (
-    EngineError,
-    InvalidParamError,
-    OutOfRangeError,
-    PolyParseError,
-    SizeLimitError,
-    UnknownIdentityError,
-)
+from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
 from .exactalg import Poly
 
 EXIT_PASS = 0
@@ -36,17 +29,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SIZE_GUARD = 3
 EXIT_PARSE = 4
-
-TABLE_NAMES = (
-    "eulerian",
-    "trivariate",
-    "second-order",
-    "kth-order",
-    "gamma-nij",
-    "gamma-histogram",
-    "andre",
-)
-
 
 def _dump(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -85,64 +67,65 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integer_table_rows(name: str, n: int, k: int | None) -> tuple[tuple[str, ...], list[tuple]]:
-    if name in ("eulerian", "second-order"):
-        triangle = "eulerian" if name == "eulerian" else "second-order-eulerian"
-        rows = [
-            (m, j, permstats.triangle(triangle, m, j))
-            for m in range(n + 1)
-            for j in range(m + 1)
-            if permstats.triangle(triangle, m, j)
-        ]
-        return ("n", "k", "value"), rows
-    if name == "gamma-nij":
-        table = expand_mod.gamma_tables("gamma-nij", n)
-        rows = [key + (v,) for key, v in sorted(table.values.items())]
-        return ("n", "i", "j", "value"), rows
-    if name == "gamma-histogram":
-        table = expand_mod.gamma_tables("gamma-n-histogram", n)
-        rows = [(key[0], list(key[1:]), v) for key, v in sorted(table.values.items())]
-        return ("n", "index", "value"), rows
-    raise ValueError(f"{name!r} is not an integer table")
+_IntegerTable = tuple[tuple[str, ...], list[tuple]]  # (header, rows), the value last in each row
 
 
-def _poly_table(name: str, n: int, k: int | None) -> Poly:
-    if name == "trivariate":
-        return permstats.perm_poly(n, "trivariate")
-    if name == "kth-order":
-        if k is None:
-            raise ValueError("kth-order table requires --k")
-        return stirlingperm.kth_order_poly(n, k)
-    if name == "andre":
-        return trees.tree_weight_poly(n, "andre")
-    raise ValueError(f"{name!r} is not a polynomial table")
+def _triangle_table(triangle: str) -> Callable[[int, int | None], _IntegerTable]:
+    def rows(n: int, k: int | None) -> _IntegerTable:
+        cells = ((m, j, permstats.triangle(triangle, m, j)) for m in range(n + 1) for j in range(m + 1))
+        return ("n", "k", "value"), [row for row in cells if row[2]]
+
+    return rows
+
+
+def _gamma_nij_table(n: int, k: int | None) -> _IntegerTable:
+    table = expand_mod.gamma_tables("gamma-nij", n)
+    return ("n", "i", "j", "value"), [key + (v,) for key, v in sorted(table.values.items())]
+
+
+def _gamma_histogram_table(n: int, k: int | None) -> _IntegerTable:
+    table = expand_mod.gamma_tables("gamma-n-histogram", n)
+    return ("n", "index", "value"), [(key[0], list(key[1:]), v) for key, v in sorted(table.values.items())]
+
+
+def _kth_order_table(n: int, k: int | None) -> Poly:
+    if k is None:
+        raise InvalidParamError("kth-order table requires --k")
+    return stirlingperm.kth_order_poly(n, k)
+
+
+#: table name -> builder at (--n, --k) of a polynomial table or an integer table
+_TABLES: dict[str, Callable[[int, int | None], "Poly | _IntegerTable"]] = {
+    "eulerian": _triangle_table("eulerian"),
+    "trivariate": lambda n, k: permstats.perm_poly(n, "trivariate"),
+    "second-order": _triangle_table("second-order-eulerian"),
+    "kth-order": _kth_order_table,
+    "gamma-nij": _gamma_nij_table,
+    "gamma-histogram": _gamma_histogram_table,
+    "andre": lambda n, k: trees.tree_weight_poly(n, "andre"),
+}
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    name, n, k = args.name, args.n, args.k
-    if n < 0:
-        raise InvalidParamError(f"--n must be >= 0, got {n}")
-    if name in ("eulerian", "second-order", "gamma-nij", "gamma-histogram"):
-        header, rows = _integer_table_rows(name, n, k)
+    if args.n < 0:
+        raise InvalidParamError(f"--n must be >= 0, got {args.n}")
+    table = _TABLES[args.name](args.n, args.k)
+    if isinstance(table, Poly):
         if args.format == "csv":
-            print(",".join(header))
-            for row in rows:
-                *index, value = row
-                cells = [
-                    f'"{" ".join(map(str, c))}"' if isinstance(c, list) else str(c)
-                    for c in index
-                ]
-                print(",".join(cells + [f'"{value}"']))
+            print("monomial,coeff")
+            for text, coeff in table.text_terms():
+                print(f'{text},"{coeff}"')
         else:
-            print(_dump([dict(zip(header[:-1], row[:-1])) | {"value": str(row[-1])} for row in rows]))
+            print(table.to_json())
         return EXIT_PASS
-    poly = _poly_table(name, n, k)
+    header, rows = table
     if args.format == "csv":
-        print("monomial,coeff")
-        for text, coeff in poly.text_terms():
-            print(f'{text},"{coeff}"')
+        print(",".join(header))
+        for *index, value in rows:
+            cells = [f'"{" ".join(map(str, c))}"' if isinstance(c, list) else str(c) for c in index]
+            print(",".join(cells + [f'"{value}"']))
     else:
-        print(poly.to_json())
+        print(_dump([dict(zip(header[:-1], row[:-1])) | {"value": str(row[-1])} for row in rows]))
     return EXIT_PASS
 
 
@@ -204,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a polynomial or integer table")
-    p_table.add_argument("name", choices=TABLE_NAMES)
+    p_table.add_argument("name", choices=_TABLES)
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--k", type=int, default=None)
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
@@ -226,10 +209,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnknownIdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SizeLimitError, OutOfRangeError) as exc:
+    except SizeLimitError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (PolyParseError, EngineError, ValueError) as exc:
+    except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

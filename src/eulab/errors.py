@@ -14,8 +14,8 @@ class SizeLimitError(EngineError):
     """An enumeration guard would be exceeded (factorial / product / tree-count)."""
 
 
-class OutOfRangeError(EngineError):
-    """A table index lies outside the supported (memoized) range."""
+class OutOfRangeError(SizeLimitError):
+    """A table index lies outside the supported (memoized) range: a size guard too."""
 
 
 class NonInvertibleConstantTermError(EngineError):
@@ -23,7 +23,7 @@ class NonInvertibleConstantTermError(EngineError):
 
 
 class NonzeroConstantTermError(EngineError):
-    """Series exp/composition argument must have zero constant term."""
+    """The argument of a series exp must have zero constant term."""
 
 
 class InexactDivisionError(EngineError):

@@ -370,15 +370,10 @@ class Poly:
 
     def evaluate(self, assign: Mapping[str, Rational]) -> Rational:
         """Evaluate at an exact rational point (all variables must be bound)."""
-        total: Rational = Fraction(0)
-        for m, c in self.items():
-            term: Rational = Fraction(c)
-            for v, e in m:
-                if v not in assign:
-                    raise ValueError(f"no value bound for variable {v!r}")
-                term *= Fraction(assign[v]) ** e
-            total += term
-        return _norm_coeff(Fraction(total))
+        for v in self.variables():
+            if v not in assign:
+                raise ValueError(f"no value bound for variable {v!r}")
+        return self.subst(assign).constant_value()
 
     # -- predicates --------------------------------------------------------
 

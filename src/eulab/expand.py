@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import comb, prod
 from typing import Mapping, Sequence
 
@@ -264,13 +264,8 @@ def _fill_histogram(n_max: int) -> dict[tuple[int, ...], int]:
     depend on k as long as k >= n - 2.
     """
     values: dict[tuple[int, ...], int] = {}
-    if n_max < 1:
-        return values
     k = max(n_max - 1, 1)
-    grammar = g10(k)
-    p = Poly.var("x_1")
-    for n in range(1, n_max + 1):
-        p = grammar.derive(p)
+    for n, p in islice(enumerate(g10(k).iterates(Poly.var("x_1"))), 1, n_max + 1):
         for exps, coeff in e_exponent_table(p, k).items():
             # exponent of e_{k-j+2} is i_j;  exps is indexed by e_1..e_{k+1}
             hist = tuple(exps[k - j + 1] for j in range(1, n + 1))

@@ -14,7 +14,8 @@ symmetric_expansion_map().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
 
@@ -29,14 +30,17 @@ class Grammar:
         """One application of the formal derivative D_G: the sum of rule(v) * dp/dv (Leibniz)."""
         return poly_sum(rule * p.diff(v) for v, rule in self.rules.items())
 
+    def iterates(self, seed: Poly) -> Iterator[Poly]:
+        """seed, D_G(seed), D_G^2(seed), ...; each derivative is taken only when asked for."""
+        while True:
+            yield seed
+            seed = self.derive(seed)
+
     def iterate(self, seed: Poly, n: int) -> Poly:
         """n-fold derivative D_G^n(seed); n = 0 returns the seed."""
         if n < 0:
             raise ValueError("iteration count must be >= 0")
-        p = seed
-        for _ in range(n):
-            p = self.derive(p)
-        return p
+        return next(islice(self.iterates(seed), n, None))
 
 
 def transform_check(old: Grammar, defs: Mapping[str, Poly], new: Grammar) -> bool:
@@ -48,8 +52,7 @@ def transform_check(old: Grammar, defs: Mapping[str, Poly], new: Grammar) -> boo
     are constants and must have derivative zero under the old grammar.
     """
     zero = Poly.zero()
-    letters = set(defs) | set(new.rules)
-    for u in letters:
+    for u in sorted(defs.keys() | new.rules.keys()):  # in name order, whatever the hash seed
         definition = defs.get(u)
         if definition is None:
             # a rule letter with no definition cannot be checked

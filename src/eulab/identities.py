@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
-from .errors import OutOfRangeError, SizeLimitError, UnknownIdentityError
+from .errors import SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
 
@@ -84,13 +84,6 @@ def _first_mismatch(cases: Iterable[Case]) -> Counterexample | None:
     return None
 
 
-def _iterates(g: grammar.Grammar, seed: Poly) -> Iterator[Poly]:
-    """seed, D(seed), D^2(seed), ...; each derivative is taken only when asked for."""
-    while True:
-        yield seed
-        seed = g.derive(seed)
-
-
 def _series_cases(lhs: Series, rhs: Series, order: int, **extra) -> Iterator[Case]:
     """Compare two series by their EGF numerators n! [z^n] up to z^order."""
     for n in range(order + 1):
@@ -133,7 +126,7 @@ def _stembridge(max_n: int, k: int | None) -> Iterator[Case]:
 def _trivariate_grammar(max_n: int, k: int | None) -> Iterator[Case]:
     permstats.guard(max_n + 1)
     lm = Poly.var("L") * Poly.var("M")
-    for n, current in zip(range(max_n + 1), _iterates(grammar.g5(), lm)):
+    for n, current in zip(range(max_n + 1), grammar.g5().iterates(lm)):
         yield n, current.divexact(lm), permstats.perm_poly(n + 1, "trivariate"), {}
 
 
@@ -227,7 +220,7 @@ def _gamma_xy_closed_form(order: int, k: int | None) -> Iterator[Case]:
 def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
     stirlingperm.guard(max_n, 2)
     g7, x = grammar.g7(), Poly.var("x")
-    for n, current in zip(range(1, max_n + 1), _iterates(g7, g7.derive(x))):
+    for n, current in zip(range(1, max_n + 1), g7.iterates(g7.derive(x))):
         enumerated = stirlingperm.trivariate_second_order(n)
         yield n, current, enumerated, {"route": "grammar-vs-enumeration"}
         univariate = enumerated.subst({"x": 1, "y": x, "z": 1})
@@ -252,7 +245,7 @@ def _k_range(k: int | None, k_max: int = 4) -> range:
 def _kth_grammar(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
         g9 = grammar.g9(kk)
-        for n, current in zip(range(1, max_n + 1), _iterates(g9, g9.derive(Poly.var("x_1")))):
+        for n, current in zip(range(1, max_n + 1), g9.iterates(g9.derive(Poly.var("x_1")))):
             if stirlingperm.word_count(n, kk) > STIRLING_IDENTITY_GUARD:
                 break
             yield n, current, stirlingperm.kth_order_poly(n, kk), {"k": kk}
@@ -280,7 +273,7 @@ def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
         g10 = grammar.g10(kk)
         known = _known_g10_forms(kk)
-        steps = zip(range(1, min(max_n, kk + 2) + 1), _iterates(g10, g10.derive(Poly.var("x_1"))))
+        steps = zip(range(1, min(max_n, kk + 2) + 1), g10.iterates(g10.derive(Poly.var("x_1"))))
         for n, current in steps:
             if n in known:
                 yield n, current, known[n], {"k": kk, "route": "closed-form"}
@@ -333,7 +326,7 @@ def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
 
 def _andre(max_n: int, k: int | None) -> Iterator[Case]:
     trees.guard(max_n, trees.default_spec("andre"))
-    for n, current in zip(range(max_n + 1), _iterates(grammar.g4(), Poly.var("u"))):
+    for n, current in zip(range(max_n + 1), grammar.g4().iterates(Poly.var("u"))):
         yield n, current, trees.tree_weight_poly(n, "andre"), {}
 
 
@@ -409,7 +402,7 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     start = time.perf_counter()
     try:
         counterexample = _first_mismatch(entry.fn(bound, k))
-    except (SizeLimitError, OutOfRangeError) as exc:
+    except SizeLimitError as exc:
         return IdentityReport(name, params, "guard", None, time.perf_counter() - start, str(exc))
     return IdentityReport(
         name=name,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, SizeLimitError
 from .exactalg import Poly
@@ -108,12 +108,6 @@ def guard(n: int) -> None:
         raise ValueError("n must be >= 0")
     if n > MAX_ENUM_N:
         raise SizeLimitError(f"full enumeration guard: n={n} exceeds {MAX_ENUM_N} (n! blowup)")
-
-
-def perms(n: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of [n] in lexicographic order (guarded)."""
-    guard(n)
-    return itertools.permutations(range(1, n + 1))
 
 
 class _Key(NamedTuple):
@@ -272,13 +266,6 @@ def triangle(name: str, n: int, k: int) -> int:
     if not (0 <= k <= n <= MAX_TRIANGLE_N):
         raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {MAX_TRIANGLE_N}")
     return _triangle_row(name, n)[k]
-
-
-def eulerian_poly_from_triangle(n: int) -> Poly:
-    """A_n(x) assembled from the Eulerian triangle (recurrence route)."""
-    if n == 0:
-        return Poly.one()
-    return Poly.from_exponents(({"x": k}, triangle("eulerian", n, k)) for k in range(n))
 
 
 def second_order_poly_from_triangle(n: int) -> Poly:

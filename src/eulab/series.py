@@ -189,17 +189,6 @@ class Series:
             e[m] = poly_sum((a[k] * e[m - k]).scale(comb(m - 1, k - 1)) for k in range(1, m + 1))
         return Series._of(e, n)
 
-    def compose(self, inner: Series) -> Series:
-        """self(inner(z)) for an inner series with zero constant term."""
-        if inner.h[0]:
-            raise NonzeroConstantTermError("composition requires inner constant term zero")
-        n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = Series.const(self.coefficient(n), n)
-        for i in range(n - 1, -1, -1):
-            result = result * inner + Series.const(self.coefficient(i), n)
-        return result
-
     def diff_z(self) -> Series:
         """d/dz, truncated one order lower: the numerators shift down by one."""
         if self.order == 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import SizeLimitError
 from .exactalg import Poly
@@ -32,8 +32,6 @@ from .exactalg import Poly
 TREE_GUARD = 10**7
 
 KINDS = ("nonplane", "plane", "forest012")
-
-WEIGHTINGS = ("andre", "forest-gamma", "plane-leaf", "chenfu-3", "deghist")
 
 
 @dataclass(frozen=True)
@@ -170,19 +168,30 @@ def trees_gen(n: int, spec: FamilySpec) -> Iterator[IncTree]:
     return (IncTree(flavor, spec.root, tuple(map(tuple, kids))) for kids, _ in _walk(n, spec))
 
 
+def _by_degree(counts: tuple[int, ...], root_leaves: int, n: int) -> dict[str, int]:
+    return {f"m_{j + 1}": c for j, c in enumerate(counts) if c}
+
+
+#: weighting -> (family kind, degree bound or None for the caller's maxdeg, the
+#: exponents of one tree from its degree counts, root leaf children and n)
+_WEIGHTINGS: dict[str, tuple[str, int | None, Callable[[tuple[int, ...], int, int], dict[str, int]]]] = {
+    "andre": ("nonplane", 2, lambda c, r, n: {"u": c[0], "v": c[1] if len(c) > 1 else 0}),
+    # the root is a leaf only when it is the whole tree
+    "forest-gamma": ("forest012", None, lambda c, r, n: {"t": r, "u": c[0] - r - (n == 0)}),
+    "plane-leaf": ("plane", 2, lambda c, r, n: {"x": c[0]}),
+    "chenfu-3": ("plane", 3, _by_degree),
+    "deghist": ("plane", None, _by_degree),
+}
+
+WEIGHTINGS = tuple(_WEIGHTINGS)
+
+
 def default_spec(weighting: str, maxdeg: int | None = None) -> FamilySpec:
     """The tree family a weighting is defined over."""
-    if weighting == "andre":
-        return FamilySpec("nonplane", 2)
-    if weighting == "forest-gamma":
-        return FamilySpec("forest012")
-    if weighting == "plane-leaf":
-        return FamilySpec("plane", 2)
-    if weighting == "chenfu-3":
-        return FamilySpec("plane", 3)
-    if weighting == "deghist":
-        return FamilySpec("plane", maxdeg)
-    raise ValueError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+    if weighting not in _WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+    kind, bound, _ = _WEIGHTINGS[weighting]
+    return FamilySpec(kind, maxdeg if bound is None else bound)
 
 
 @lru_cache(maxsize=None)
@@ -196,19 +205,9 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
     deghist      prod m_j^(vertices of degree j-1) over bounded plane on [n]
     """
     spec = default_spec(weighting, maxdeg)
-    pairs = []
-    for (*counts, root_leaves), ways in Counter(tuple(s) for _, s in _walk(n, spec)).items():
-        if weighting == "andre":
-            exps = {"u": counts[0], "v": counts[1] if len(counts) > 1 else 0}
-        elif weighting == "forest-gamma":
-            # the root is a leaf only when it is the whole tree
-            exps = {"t": root_leaves, "u": counts[0] - root_leaves - (n == spec.root)}
-        elif weighting == "plane-leaf":
-            exps = {"x": counts[0]}
-        else:  # chenfu-3 / deghist
-            exps = {f"m_{j + 1}": c for j, c in enumerate(counts) if c}
-        pairs.append((exps, ways))
-    return Poly.from_exponents(pairs)
+    project = _WEIGHTINGS[weighting][2]
+    keys = Counter(tuple(s) for _, s in _walk(n, spec))
+    return Poly.from_exponents((project(key[:-1], key[-1], n), ways) for key, ways in keys.items())
 
 
 def histogram_table(n: int, maxdeg: int | None = None) -> dict[tuple[int, ...], int]:

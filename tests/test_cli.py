@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from eulab.cli import main
+from eulab.cli import _TABLES, main
+from eulab.errors import InvalidParamError
 from eulab.exactalg import MAX_EXPONENT, Poly
 from eulab.permstats import perm_poly
 
@@ -41,6 +42,13 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "nonsense"])
         assert code == 2
         assert "unknown identity" in err
+
+    def test_table_range_is_a_size_guard(self, capsys):
+        # gamma-2n-2n reads histogram row max_n + 1, past the table guard: an OutOfRangeError
+        code, out, err = run(capsys, ["verify", "gamma-2n-2n", "--max-n", "12", "--json"])
+        assert code == 3
+        assert [r["status"] for r in json.loads(out)] == ["guard"]
+        assert err == "size guard: table guard: need 0 <= n_max <= 12\n"
 
     def test_size_guard_exit_code(self, capsys):
         code, _, err = run(capsys, ["verify", "diaconis", "--max-n", "12"])
@@ -152,6 +160,9 @@ class TestTable:
     def test_kth_order_requires_k(self, capsys):
         code, _, err = run(capsys, ["table", "kth-order", "--n", "2"])
         assert code == 4
+        assert err == "error: kth-order table requires --k\n"
+        with pytest.raises(InvalidParamError):
+            _TABLES["kth-order"](2, None)
         code, out, _ = run(capsys, ["table", "kth-order", "--n", "2", "--k", "2"])
         assert code == 0
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import hypothesis.strategies as st
 import pytest
@@ -74,6 +75,22 @@ class TestSubst:
         image = p.subst({"t": s + y, "u": 2 * x * y, "v": x + y})
         a4 = (s + y) ** 3 + 6 * x * y * (s + y) + 2 * x * y * (x + y)
         assert image == a4
+
+    @given(polys(), coefficients(), coefficients(), coefficients())
+    def test_evaluate_term_by_term(self, p, x0, y0, s0):
+        point = {"x": x0, "y": y0, "s": s0}
+        want = sum(
+            (Fraction(c) * prod(Fraction(point[v]) ** e for v, e in m) for m, c in p.items()),
+            Fraction(0),
+        )
+        got = p.evaluate(point)
+        assert got == want
+        assert isinstance(got, int) == (want.denominator == 1)
+
+    def test_evaluate_needs_every_variable(self):
+        with pytest.raises(ValueError, match="no value bound for variable 'y'"):
+            (x * y + y).evaluate({"x": -1})  # the y terms cancel at x = -1, but y is unbound
+        assert Poly.const(Fraction(3, 2)).evaluate({}) == Fraction(3, 2)
 
 
 class TestPredicates:

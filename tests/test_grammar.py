@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import polys
+import eulab
 from eulab import permstats, stirlingperm, trees
 from eulab.exactalg import Poly, poly_sum
 from eulab.grammar import (
@@ -127,6 +132,31 @@ class TestTransformChecks:
 
     def test_wrong_map_fails(self):
         assert not transform_check(g7(), {"u": x, "v": y, "w": x * y}, catalog("G8"))
+
+    def test_work_does_not_depend_on_the_hash_seed(self):
+        """``verify transform-catalog`` takes as many derivatives under any PYTHONHASHSEED."""
+        src = str(Path(eulab.__file__).resolve().parents[1])
+        counts = [
+            subprocess.run(
+                [sys.executable, "-c", DERIVE_COUNT_SCRIPT],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert counts[0] == counts[1]
+
+
+DERIVE_COUNT_SCRIPT = """
+from eulab import grammar, identities
+calls = []
+derive = grammar.Grammar.derive
+grammar.Grammar.derive = lambda self, p: calls.append(p) or derive(self, p)
+assert identities.verify("transform-catalog").passed
+print(len(calls))
+"""
 
 
 class TestCrossRoutes:
