@@ -8,11 +8,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import polys
 import eulab
+from conftest import polys
 from eulab import permstats, stirlingperm, trees
 from eulab.exactalg import Poly, poly_sum
 from eulab.grammar import (
+    Grammar,
     catalog,
     e_exponent_table,
     g1,
@@ -33,6 +34,16 @@ x, y, s, u, v, t = (Poly.var(c) for c in "xysuvt")
 L, M, I = Poly.var("L"), Poly.var("M"), Poly.var("I")
 
 GRAMMAR_NAMES = [f"G{i}" for i in range(1, 9)] + [f"G{j}:{k}" for j in (9, 10) for k in range(1, 5)]
+
+#: counts the derivatives taken by ``verify transform-catalog`` in a fresh interpreter
+DERIVE_COUNT_SCRIPT = """
+from eulab import grammar, identities
+calls = []
+derive = grammar.Grammar.derive
+grammar.Grammar.derive = lambda self, p: calls.append(p) or derive(self, p)
+assert identities.verify("transform-catalog").passed
+print(len(calls))
+"""
 
 
 def derive_term_by_term(g, p):
@@ -80,6 +91,15 @@ class TestDerive:
     def test_iterate_negative_rejected(self):
         with pytest.raises(ValueError):
             g1().iterate(x, -1)
+
+    def test_iterates_derives_only_when_asked(self, monkeypatch):
+        calls = []
+        derive = Grammar.derive
+        monkeypatch.setattr(Grammar, "derive", lambda self, p: calls.append(p) or derive(self, p))
+        steps = list(itertools.islice(g5().iterates(L * M), 4))
+        assert len(calls) == 3
+        assert steps == [L * M, L * M * (s + y)] + [g5().iterate(L * M, n) for n in (2, 3)]
+        assert len(calls) == 3 + 2 + 3
 
     @given(polys(), polys())
     def test_derivation_satisfies_leibniz(self, p, q):
@@ -147,16 +167,6 @@ class TestTransformChecks:
             for seed in ("1", "2")
         ]
         assert counts[0] == counts[1]
-
-
-DERIVE_COUNT_SCRIPT = """
-from eulab import grammar, identities
-calls = []
-derive = grammar.Grammar.derive
-grammar.Grammar.derive = lambda self, p: calls.append(p) or derive(self, p)
-assert identities.verify("transform-catalog").passed
-print(len(calls))
-"""
 
 
 class TestCrossRoutes:
