@@ -341,16 +341,24 @@ class Poly:
 
     def subst(self, mapping: Mapping[str, Poly | Rational]) -> Poly:
         """Simultaneous substitution; unmapped variables are left in place."""
-        images = [  # in name order, so each term's image is built as the monomial reads
-            (_shift(v), img if isinstance(img, Poly) else Poly.const(img))
-            for v, img in sorted(mapping.items(), key=lambda item: item[0])
-        ]
+        # in name order, as each monomial reads; a constant image just scales the coefficient
+        images: list[tuple[int, Poly]] = []
+        scalars: list[tuple[int, Rational]] = []
+        for v, img in sorted(mapping.items(), key=lambda item: item[0]):
+            (images if isinstance(img, Poly) else scalars).append((_shift(v), img))
         power_cache: dict[tuple[int, int], Poly] = {}
 
         # every term goes into one dict: adding Polys would copy the running total per term
         out: dict[int, Rational] = {}
         for m, c in self._terms.items():
             rest = m
+            for s, val in scalars:
+                e = m >> s & MAX_EXPONENT
+                if e:
+                    c *= val**e
+                    rest -= e << s
+            if not c:
+                continue
             image: Poly | None = None
             for s, img in images:
                 e = m >> s & MAX_EXPONENT
@@ -361,7 +369,7 @@ class Poly:
                     image = power if image is None else image * power
                     rest -= e << s
             if image is None:
-                out[m] = out.get(m, 0) + c
+                out[rest] = out.get(rest, 0) + c
                 continue
             for im, ic in image._terms.items():
                 nm = im + rest
