@@ -1,4 +1,4 @@
-"""k-Stirling permutations: one block-insertion walk and plateau statistics.
+"""k-Stirling permutations: one block-insertion counting walk and plateau statistics.
 
 Words are generated by inserting the block m^k into every gap of each word
 of order m-1 (Gessel--Stanley, "Stirling polynomials", JCTA 1978; Janson--
@@ -12,23 +12,24 @@ the same letter; summing x_j over j <= k-1 plateau classes plus descent and
 ascent markers x_k, x_{k+1} gives the multivariate k-th order Eulerian
 polynomial.
 
-The walk keeps the live word, the type of each of its kn+1 padded gaps and
-the statistic vector.  Putting m^k into the gap between a and b replaces the
-pair (a, b) by (a, m), (m, m) k-1 times and (m, b): an ascent, the 1- to
-(k-1)-plateaux of m and a descent, while every other plateau keeps its index;
-so the vector changes in O(k) and nothing is copied or rescanned.  ``stats``
-recomputes a word from scratch and is the reference the walk is tested against.
+The walk keeps only the type of each of the kn+1 padded gaps, and the
+statistic vector as one packed int key, 16 bits per field, as ``exactalg``
+packs exponents (Monagan--Pearce, CASC 2007).  Putting m^k into the gap
+between a and b replaces the pair (a, b) by (a, m), (m, m) k-1 times and
+(m, b): an ascent, the 1- to (k-1)-plateaux of m and a descent, while every
+other plateau keeps its index; so the key changes by one precomputed int per
+gap type and nothing is copied or rescanned.  Every word adds 1 to its key's
+count at the last block, so the route stays exhaustive.  ``stats`` recomputes
+a word from scratch and is the reference the walk is tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import SizeLimitError
-from .exactalg import Poly
+from .exactalg import MAX_EXPONENT, Poly
 
 PRODUCT_GUARD = 10**7
 
@@ -57,42 +58,44 @@ def guard(n: int, k: int) -> None:
         raise SizeLimitError(f"k-Stirling guard: |Q_{n}({k})| = {total} exceeds {PRODUCT_GUARD}")
 
 
-def _walk(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Every word of Q_n(k) once, as the live pair (word, exponent vector).
+def key_guard(n: int, k: int) -> None:
+    """Raise unless every field of a walk key fits: a field counts at most the kn + 1 gaps."""
+    if k * n + 1 > MAX_EXPONENT:
+        raise SizeLimitError(f"k-Stirling guard: {k * n + 1} gaps overflow a {MAX_EXPONENT}-bounded key field")
+
+
+def _walk(n: int, k: int) -> dict[int, int]:
+    """The number of words of Q_n(k) with each exponent vector, keyed by the packed vector.
 
     A gap's type is the index of its variable: j-1 for a j-plateau, k-1 for a
-    descent, k for an ascent; ``vec[t]`` counts the gaps of type t, which is
-    the exponent of x_{t+1}.  Both lists change after each yield.
+    descent, k for an ascent; field t of a key (bits 16t and up) counts the
+    gaps of type t, which is the exponent of x_{t+1}.  Only the gap types are
+    kept, and every word adds 1 to its key's count at the last block.
     """
     guard(n, k)
+    key_guard(n, k)
     block_gaps = [k, *range(k - 1), k - 1]  # (a, m), (m, m) x (k-1), (m, b)
-    word, gaps, vec = [1] * k, list(block_gaps), [1] * (k + 1)  # 1^k put into (0, 0)
+    step = [sum(1 << 16 * t for t in block_gaps) - (1 << 16 * old) for old in range(k + 1)]
+    gaps, counts = list(block_gaps), {}  # 1^k put into (0, 0)
 
-    def grow(m: int) -> Iterator[tuple[list[int], list[int]]]:
-        block = [m] * k
+    def grow(m: int, key: int) -> None:
+        if m == n:
+            for old in gaps:
+                last = key + step[old]
+                counts[last] = counts.get(last, 0) + 1
+            return
         for g in range(len(gaps)):
             old = gaps[g]
-            word[g:g] = block
             gaps[g : g + 1] = block_gaps
-            vec[old] -= 1
-            for t in block_gaps:
-                vec[t] += 1
-            if m == n:
-                yield word, vec
-            else:
-                yield from grow(m + 1)
-            for t in block_gaps:
-                vec[t] -= 1
-            vec[old] += 1
-            del word[g : g + k]
+            grow(m + 1, key + step[old])
             gaps[g : g + k + 1] = (old,)
 
-    return grow(2) if n > 1 else iter([(word, vec)])
-
-
-def gen(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every word of Q_n(k) exactly once, by block insertion."""
-    return (tuple(word) for word, _ in _walk(n, k))
+    start = sum(1 << 16 * t for t in range(k + 1))
+    if n > 1:
+        grow(2, start)
+    else:
+        counts[start] = 1
+    return counts
 
 
 def stats(word: tuple[int, ...], k: int) -> StirlingStats:
@@ -126,9 +129,10 @@ def kth_order_poly(n: int, k: int) -> Poly:
 
     Weight of a word: x_1^plat_1 ... x_{k-1}^plat_{k-1} x_k^des x_{k+1}^asc.
     """
-    names = [f"x_{t + 1}" for t in range(k + 1)]
-    counts = Counter(tuple(vec) for _, vec in _walk(n, k))
-    return Poly.from_exponents((dict(zip(names, key)), c) for key, c in counts.items())
+    shifts = {f"x_{t + 1}": 16 * t for t in range(k + 1)}
+    return Poly.from_exponents(
+        ({v: key >> s & 0xFFFF for v, s in shifts.items()}, c) for key, c in _walk(n, k).items()
+    )
 
 
 def trivariate_second_order(n: int) -> Poly:

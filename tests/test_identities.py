@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import pytest
@@ -128,3 +130,15 @@ def test_guard_precedes_every_sweep(monkeypatch, identity, max_n, message):
     assert report.status == "guard"
     assert message in report.note
     assert calls == []
+
+
+@pytest.mark.parametrize("oracle", [permstats, stirlingperm, trees], ids=lambda m: m.__name__)
+def test_enumeration_oracles_import_no_other_route(oracle):
+    """The enumeration route reads the polynomial kernel and the error types only."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "eulab" not in ast.dump(node), ast.dump(node)
+    assert imported <= {"errors", "exactalg"}, imported

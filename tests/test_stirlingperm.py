@@ -1,20 +1,23 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from eulab.errors import SizeLimitError
-from eulab.exactalg import Poly, elementary_symmetric
+from eulab.exactalg import MAX_EXPONENT, Poly, elementary_symmetric
 from eulab.grammar import g9, stirling_vars
 from eulab.permstats import perm_poly, second_order_poly_from_triangle
+import eulab.stirlingperm as stirlingperm_mod
 from eulab.stirlingperm import (
     _walk,
-    gen,
+    key_guard,
     kth_order_poly,
     stats,
     trivariate_second_order,
     word_count,
 )
+from reference_walks import gen, word_walk
 
 x = Poly.var("x")
 
@@ -77,13 +80,22 @@ def stats_vector(word, k):
     return [*st.plat_j, st.des, st.asc]
 
 
+def pack(vec):
+    """An exponent vector as the counting walk keys it: 16 bits per field, lowest first."""
+    return sum(c << 16 * t for t, c in enumerate(vec))
+
+
+#: (n, k) for k = 1..4 and every n >= 1 with at most 10^4 words
+SMALL = [(n, k) for k in range(1, 5) for n in range(1, 9) if word_count(n, k) <= 10**4]
+
+
 class TestIncrementalWalk:
-    """The walk's statistic vector against ``stats``, the from-scratch reference."""
+    """The counting walk against the reference walk and ``stats``, the from-scratch reference."""
 
     @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (4, 3), (3, 4)])
     def test_every_word(self, n, k):
         seen = 0
-        for word, vec in _walk(n, k):
+        for word, vec in word_walk(n, k):
             assert vec == stats_vector(word, k), word
             seen += 1
         assert seen == word_count(n, k)
@@ -92,17 +104,60 @@ class TestIncrementalWalk:
     def test_seeded_sample(self, n, k):
         picked = set(random.Random(n * 10 + k).sample(range(word_count(n, k)), 2000))
         checked = 0
-        for i, (word, vec) in enumerate(_walk(n, k)):
+        for i, (word, vec) in enumerate(word_walk(n, k)):
             if i in picked:
                 assert vec == stats_vector(word, k), word
                 checked += 1
         assert checked == 2000
 
-    def test_guard_runs_before_the_walk(self):
+    @pytest.mark.parametrize("n, k", SMALL)
+    def test_counting_walk_matches_reference_walk(self, n, k):
+        assert _walk(n, k) == Counter(pack(vec) for _, vec in word_walk(n, k))
+
+    @pytest.mark.parametrize("n, k", SMALL)
+    def test_counting_walk_matches_stats(self, n, k):
+        assert _walk(n, k) == Counter(pack(stats_vector(w, k)) for w in gen(n, k))
+
+    def test_counting_walk_larger_sizes(self):
+        for n, k in ((7, 2), (6, 3), (5, 4)):
+            assert _walk(n, k) == Counter(pack(vec) for _, vec in word_walk(n, k)), (n, k)
+
+    def test_polynomial_decodes_the_reference_vectors(self):
+        for n, k in SMALL:
+            names = [f"x_{t + 1}" for t in range(k + 1)]
+            keys = Counter(tuple(vec) for _, vec in word_walk(n, k))
+            want = Poly.from_exponents((dict(zip(names, key)), c) for key, c in keys.items())
+            assert kth_order_poly(n, k) == want, (n, k)
+
+    def test_guard_runs_before_the_walk(self, monkeypatch):
+        started = []
+
+        def spy(n, k):  # the key check is the walk's first step after the size guard
+            started.append((n, k))
+
+        monkeypatch.setattr(stirlingperm_mod, "key_guard", spy)
         with pytest.raises(SizeLimitError):
             _walk(12, 3)
         with pytest.raises(SizeLimitError):
             gen(12, 3)
+        with pytest.raises(ValueError):
+            _walk(0, 2)
+        assert started == []
+        # 1122, 1221 and 2211 as (x_1, x_2, x_3) exponents
+        assert _walk(2, 2) == {pack((2, 1, 2)): 1, pack((1, 2, 2)): 1, pack((2, 2, 1)): 1}
+        assert started == [(2, 2)]
+
+    def test_key_fields_are_checked_before_the_walk(self, monkeypatch):
+        key_guard(MAX_EXPONENT // 3, 3)  # 3n + 1 = 32767
+        with pytest.raises(SizeLimitError, match="32770 gaps"):
+            key_guard(MAX_EXPONENT // 3 + 1, 3)
+        with pytest.raises(SizeLimitError, match="32768 gaps"):
+            key_guard(MAX_EXPONENT, 1)
+        # with a smaller field limit, a walk whose counts would pass it does not start
+        monkeypatch.setattr(stirlingperm_mod, "MAX_EXPONENT", 7)
+        assert _walk(3, 2)
+        with pytest.raises(SizeLimitError, match="9 gaps"):
+            _walk(4, 2)
 
 
 class TestStats:

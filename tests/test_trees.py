@@ -1,24 +1,24 @@
 import time
+from collections import Counter
 
 import pytest
 
 import eulab.trees as trees_mod
 from eulab.errors import SizeLimitError
-from eulab.exactalg import Poly
+from eulab.exactalg import MAX_EXPONENT, Poly
 from eulab.expand import gamma_expand, gamma_tables
 from eulab.grammar import g4
 from eulab.permstats import perm_poly, triangle
 from eulab.trees import (
     WEIGHTINGS,
     FamilySpec,
-    IncTree,
     default_spec,
     histogram_table,
     leaf_counts_plane,
     tree_count,
     tree_weight_poly,
-    trees_gen,
 )
+from reference_walks import tree_walk, trees_gen
 
 u, v, t, x = Poly.var("u"), Poly.var("v"), Poly.var("t"), Poly.var("x")
 
@@ -180,21 +180,53 @@ FAMILIES = [
 ]
 
 
+def pack(fields):
+    """A statistic vector as the counting walk keys it: 16 bits per field, lowest first."""
+    return sum(c << 16 * j for j, c in enumerate(fields))
+
+
+#: every family a weighting is summed over: the caller's maxdeg reaches deghist only
+WALKED = list(dict.fromkeys([*map(default_spec, WEIGHTINGS), *(default_spec("deghist", d) for d in range(9))]))
+
+
 class TestIncrementalWalk:
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_walk_key_matches_snapshot(self, weighting):
         spec = default_spec(weighting)
         for n in range(spec.root, 8):
             seen = 0
-            for tree, (_, state) in zip(trees_gen(n, spec), trees_mod._walk(n, spec)):
+            for tree, (_, state) in zip(trees_gen(n, spec), tree_walk(n, spec)):
                 assert tuple(state) == key_from_snapshot(tree, n), tree
                 seen += 1
             assert seen == tree_count(n, spec)
+
+    @pytest.mark.parametrize("spec", WALKED, ids=lambda s: f"{s.kind}-{s.maxdeg}")
+    def test_counting_walk_matches_reference_walk(self, spec):
+        for n in range(spec.root, 8):
+            want = Counter(pack(state) for _, state in tree_walk(n, spec))
+            assert trees_mod._walk(n, spec) == want, n
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.kind}-{s.maxdeg}")
+    def test_counting_walk_matches_snapshots(self, spec):
+        for n in range(spec.root, 7):
+            want = Counter(pack(key_from_snapshot(tree, n)) for tree in trees_gen(n, spec))
+            assert trees_mod._walk(n, spec) == want, n
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_weights_decode_the_reference_keys(self, weighting):
+        project = trees_mod._WEIGHTINGS[weighting][2]
+        for maxdeg in (None, 2, 4):
+            spec = default_spec(weighting, maxdeg)
+            for n in range(spec.root, 8):
+                keys = Counter(tuple(state) for _, state in tree_walk(n, spec))
+                want = Poly.from_exponents((project(key[:-1], key[-1], n), c) for key, c in keys.items())
+                assert tree_weight_poly(n, weighting, maxdeg) == want, (n, maxdeg)
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.kind}-{s.maxdeg}")
     def test_count_matches_enumeration(self, spec):
         for n in range(spec.root, 8):
             assert tree_count(n, spec) == sum(1 for _ in trees_gen(n, spec)), n
+            assert tree_count(n, spec) == sum(trees_mod._walk(n, spec).values()), n
 
     def test_count_closed_forms(self):
         double_factorial = lambda m: 1 if m < 1 else m * double_factorial(m - 2)
@@ -204,24 +236,40 @@ class TestIncrementalWalk:
             assert tree_count(n, FamilySpec("nonplane", None)) == factorial(n)
 
     def test_guard_trips_before_any_tree(self, monkeypatch):
-        visited = []
-        walk = trees_mod._walk
+        # the key check is the walk's first step after the size guard
+        started = []
+        key_guard = trees_mod.key_guard
 
-        def spy(n, spec):
-            for state in walk(n, spec):
-                visited.append(n)
-                yield state
+        def spy(n):
+            started.append(n)
+            key_guard(n)
 
         monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
-        monkeypatch.setattr(trees_mod, "_walk", spy)
+        monkeypatch.setattr(trees_mod, "key_guard", spy)
         tree_weight_poly.cache_clear()
         with pytest.raises(SizeLimitError):
             tree_weight_poly(5, "deghist")
         with pytest.raises(SizeLimitError):
+            trees_mod._walk(5, FamilySpec("plane", None))
+        with pytest.raises(SizeLimitError):
             list(trees_gen(5, FamilySpec("plane", None)))
-        assert visited == []
+        assert started == []
+        assert trees_mod._walk(3, FamilySpec("plane", None)) == {pack((1, 2, 0, 0)): 1, pack((2, 0, 1, 2)): 2}
+        assert started == [3]
+
+    def test_key_fields_are_checked_before_the_walk(self, monkeypatch):
+        trees_mod.key_guard(MAX_EXPONENT - 1)
+        with pytest.raises(SizeLimitError, match="32768 vertices"):
+            trees_mod.key_guard(MAX_EXPONENT)
+        # with a smaller field limit, a walk whose counts would pass it does not start
+        monkeypatch.setattr(trees_mod, "MAX_EXPONENT", 4)
+        assert trees_mod._walk(3, FamilySpec("plane", None))
+        with pytest.raises(SizeLimitError, match="5 vertices"):
+            trees_mod._walk(4, FamilySpec("plane", None))
 
     def test_guard_is_checked_when_the_stream_is_made(self):
+        with pytest.raises(SizeLimitError, match="34459425 trees"):
+            trees_mod._walk(10, FamilySpec("plane", None))
         with pytest.raises(SizeLimitError, match="34459425 trees"):
             trees_gen(10, FamilySpec("plane", None))
         with pytest.raises(SizeLimitError):
@@ -229,6 +277,8 @@ class TestIncrementalWalk:
 
     def test_guard_stops_counting_once_past_the_limit(self):
         start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            trees_mod._walk(200, FamilySpec("plane", None))
         with pytest.raises(SizeLimitError):
             trees_gen(200, FamilySpec("plane", None))
         with pytest.raises(SizeLimitError):
@@ -241,5 +291,7 @@ class TestIncrementalWalk:
 
 def test_size_guard(monkeypatch):
     monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
+    with pytest.raises(SizeLimitError):
+        trees_mod._walk(5, FamilySpec("plane", None))
     with pytest.raises(SizeLimitError):
         list(trees_gen(5, FamilySpec("plane", None)))
