@@ -5,8 +5,8 @@ insertion; ``tree_walk``, ``trees_gen`` and ``IncTree`` stream the increasing
 trees of a family by leaf insertion.  Each walk keeps the live object and its
 statistic vector and yields both after every last insertion, so a test can
 recompute the statistics from the object and compare them with the counting
-walks of ``eulab.stirlingperm`` and ``eulab.trees``.  The size guards are the
-package's own.
+walks of ``eulab.stirlingperm`` and ``eulab.trees`` (``pack`` writes a vector
+as their keys).  The size guards are the package's own.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from typing import Iterator
 from eulab.stirlingperm import guard as word_guard
 from eulab.trees import FamilySpec
 from eulab.trees import guard as tree_guard
+
+
+def pack(fields) -> int:
+    """A statistic vector as the counting walks key it: 16 bits per field, lowest first."""
+    return sum(c << 16 * j for j, c in enumerate(fields))
 
 
 def word_walk(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:

@@ -4,11 +4,11 @@ from collections import Counter
 
 import pytest
 
+import eulab.stirlingperm as stirlingperm_mod
 from eulab.errors import SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly, elementary_symmetric
 from eulab.grammar import g9, stirling_vars
 from eulab.permstats import perm_poly, second_order_poly_from_triangle
-import eulab.stirlingperm as stirlingperm_mod
 from eulab.stirlingperm import (
     _walk,
     key_guard,
@@ -17,7 +17,7 @@ from eulab.stirlingperm import (
     trivariate_second_order,
     word_count,
 )
-from reference_walks import gen, word_walk
+from reference_walks import gen, pack, word_walk
 
 x = Poly.var("x")
 
@@ -78,11 +78,6 @@ def stats_vector(word, k):
     """The exponents of x_1..x_{k+1} recomputed from scratch by ``stats``."""
     st = stats(tuple(word), k)
     return [*st.plat_j, st.des, st.asc]
-
-
-def pack(vec):
-    """An exponent vector as the counting walk keys it: 16 bits per field, lowest first."""
-    return sum(c << 16 * t for t, c in enumerate(vec))
 
 
 #: (n, k) for k = 1..4 and every n >= 1 with at most 10^4 words

@@ -18,7 +18,7 @@ from eulab.trees import (
     tree_count,
     tree_weight_poly,
 )
-from reference_walks import tree_walk, trees_gen
+from reference_walks import pack, tree_walk, trees_gen
 
 u, v, t, x = Poly.var("u"), Poly.var("v"), Poly.var("t"), Poly.var("x")
 
@@ -178,11 +178,6 @@ FAMILIES = [
     FamilySpec("plane", None),
     FamilySpec("forest012"),
 ]
-
-
-def pack(fields):
-    """A statistic vector as the counting walk keys it: 16 bits per field, lowest first."""
-    return sum(c << 16 * j for j, c in enumerate(fields))
 
 
 #: every family a weighting is summed over: the caller's maxdeg reaches deghist only
