@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
 
@@ -188,8 +188,8 @@ def catalog(name: str) -> Grammar:
     raise ValueError(f"unknown grammar {name!r}")
 
 
-def transform_catalog(k_max: int = 4) -> list[tuple[str, Grammar, dict[str, Poly], Grammar, bool]]:
-    """The change-of-grammar pairs with their expected outcomes.
+def transform_catalog(ks: Iterable[int]) -> list[tuple[str, Grammar, dict[str, Poly], Grammar, bool]]:
+    """The change-of-grammar pairs with their expected outcomes, G9:k -> G10:k for each k in ``ks``.
 
     Includes one deliberately mismatched pair (g1 with u=xy against g4,
     which belongs to u=2xy) as a negative control.
@@ -208,6 +208,6 @@ def transform_catalog(k_max: int = 4) -> list[tuple[str, Grammar, dict[str, Poly
         ),
         ("G1->G4-mismatch", g1(), {"u": _x * _y, "v": _x + _y}, g4(), False),
     ]
-    for k in range(1, k_max + 1):
+    for k in ks:
         entries.append((f"G9:{k}->G10:{k}", g9(k), symmetric_expansion_map(k), g10(k), True))
     return entries

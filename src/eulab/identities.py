@@ -8,8 +8,10 @@ into a counterexample ``{"n", "lhs", "rhs", **extra}`` with both sides
 serialized, so a red result is always reproducible.
 
 Default ranges are sized so the whole catalog finishes in under a second of
-pure Python: permutation oracles n <= 7 or 8, Stirling oracles capped at
-10^6 words, tree oracles well under 10^6 trees, series order <= 8.
+pure Python: permutation oracles n <= 7 or 8, Stirling and tree oracles well
+under 10^6 words or trees, series order <= 8.  Every check calls the guard
+of each enumeration oracle it reads at its largest n before its first case,
+so a PASS at ``max_n`` means every route ran every n up to it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from . import expand, grammar, permstats, stirlingperm, trees
 from .errors import SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
-
-STIRLING_IDENTITY_GUARD = 10**6
 
 Counterexample = dict
 Case = tuple[int, object, object, dict]  # (n, lhs, rhs, extra fields of a counterexample)
@@ -163,9 +163,10 @@ def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
+    permstats.guard(max_n + 1)
     lhs = egf_build("bivariate", max_n) * egf_build("fixpoint", max_n)
     yield from _series_cases(lhs, egf_build("trivariate", max_n), max_n, route="egf")
-    for n in range(min(max_n, 7) + 1):
+    for n in range(max_n + 1):
         direct = poly_sum(
             comb(n, i)
             * permstats.perm_poly(i, "bivariate")
@@ -176,7 +177,7 @@ def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _diaconis(max_n: int, k: int | None) -> Iterator[Case]:
-    permstats.profile_guard(max_n)
+    permstats.guard(max_n)
     for n in range(1, max_n + 1):
         by_suc, by_fix = permstats.diaconis_profile(n)
         yield n, by_suc, by_fix, {}
@@ -244,10 +245,10 @@ def _k_range(k: int | None, k_max: int = 4) -> range:
 
 def _kth_grammar(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
+        stirlingperm.guard(max_n, kk)
+    for kk in _k_range(k):
         g9 = grammar.g9(kk)
         for n, current in zip(range(1, max_n + 1), g9.iterates(g9.derive(Poly.var("x_1")))):
-            if stirlingperm.word_count(n, kk) > STIRLING_IDENTITY_GUARD:
-                break
             yield n, current, stirlingperm.kth_order_poly(n, kk), {"k": kk}
 
 
@@ -271,14 +272,14 @@ def _known_g10_forms(kk: int) -> dict[int, Poly]:
 
 def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
+        stirlingperm.guard(min(max_n, kk + 2), kk)
+    for kk in _k_range(k):
         g10 = grammar.g10(kk)
         known = _known_g10_forms(kk)
         steps = zip(range(1, min(max_n, kk + 2) + 1), g10.iterates(g10.derive(Poly.var("x_1"))))
         for n, current in steps:
             if n in known:
                 yield n, current, known[n], {"k": kk, "route": "closed-form"}
-            if stirlingperm.word_count(n, kk) > STIRLING_IDENTITY_GUARD:
-                continue
             expansion = expand.esym_expand(
                 stirlingperm.kth_order_poly(n, kk), grammar.stirling_vars(kk)
             )
@@ -312,16 +313,16 @@ def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
+    trees.guard(max_n, trees.default_spec("deghist"))
     table = expand.gamma_tables("gamma-n-histogram", max_n)
     for n in range(2, max_n + 1):
         row = expand.histogram_row(table, n)
         want = {j: permstats.triangle("second-order-eulerian", n - 1, j) for j in range(1, n)}
         for j in range(1, n):
             yield n, sum(v for key, v in row.items() if key[0] == j), want[j], {"j": j}
-        if n <= 7:
-            leaf_counts = trees.leaf_counts_plane(n)
-            for j in range(1, n):
-                yield n, leaf_counts.get(j, 0), want[j], {"j": j, "route": "leaf-count"}
+        leaf_counts = trees.leaf_counts_plane(n)
+        for j in range(1, n):
+            yield n, leaf_counts.get(j, 0), want[j], {"j": j, "route": "leaf-count"}
 
 
 def _andre(max_n: int, k: int | None) -> Iterator[Case]:
@@ -332,8 +333,7 @@ def _andre(max_n: int, k: int | None) -> Iterator[Case]:
 
 def _transform_catalog(max_n: int, k: int | None) -> Iterator[Case]:
     """Change-of-grammar checks; they do not depend on n, so every case has n = 0."""
-    k_max = k if k is not None else 4
-    for name, old, defs, new, expected in grammar.transform_catalog(k_max):
+    for name, old, defs, new, expected in grammar.transform_catalog(_k_range(k)):
         yield 0, grammar.transform_check(old, defs, new), expected, {"transform": name}
 
 

@@ -32,7 +32,6 @@ from .exactalg import Poly
 
 MAX_ENUM_N = 10
 MAX_TRIANGLE_N = 60
-MAX_PROFILE_N = 9
 
 TRIANGLES = ("stirling2", "eulerian", "second-order-eulerian", "surjection")
 
@@ -280,12 +279,6 @@ def second_order_poly_from_triangle(n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def profile_guard(n: int) -> None:
-    """Raise before any sweep when ``diaconis_profile(n)`` is out of range."""
-    if not 1 <= n <= MAX_PROFILE_N:
-        raise SizeLimitError(f"profile guard: need 1 <= n <= {MAX_PROFILE_N}")
-
-
 def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[int], int]]:
     """Count permutations by succession set and by restricted fixed-point set.
 
@@ -293,7 +286,6 @@ def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[
     a fixed point at position n.  The two mappings are claimed (and checked
     elsewhere) to be equal as whole objects.  Each call returns fresh dicts.
     """
-    profile_guard(n)
     table = _perm_table(n)
     return dict(table.by_suc), dict(table.by_fix)
 

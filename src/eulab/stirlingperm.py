@@ -42,26 +42,28 @@ class StirlingStats:
     plat_j: tuple[int, ...]  # plat_j[j-1] = number of j-plateaux, j = 1..k-1
 
 
-def word_count(n: int, k: int) -> int:
-    """|Q_n(k)| = product of (k*i + 1) for i = 0..n-1."""
+def word_count(n: int, k: int, cap: int | None = None) -> int:
+    """|Q_n(k)| = product of (k*i + 1) for i = 0..n-1, returned once it exceeds ``cap``."""
     total = 1
-    for i in range(n - 1):
-        total *= k * (i + 1) + 1
+    for i in range(1, n):
+        total *= k * i + 1
+        if cap is not None and total > cap:
+            break
     return total
 
 
 def guard(n: int, k: int) -> None:
-    """Raise before any enumeration when Q_n(k) is empty or too large to walk."""
+    """Raise before any enumeration when Q_n(k) is empty or too large to walk.
+
+    The kn + 1 gap counts must fit a key field, which is checked first; then
+    the words are counted, stopping as soon as they pass ``PRODUCT_GUARD``.
+    """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if (total := word_count(n, k)) > PRODUCT_GUARD:
-        raise SizeLimitError(f"k-Stirling guard: |Q_{n}({k})| = {total} exceeds {PRODUCT_GUARD}")
-
-
-def key_guard(n: int, k: int) -> None:
-    """Raise unless every field of a walk key fits: a field counts at most the kn + 1 gaps."""
     if k * n + 1 > MAX_EXPONENT:
         raise SizeLimitError(f"k-Stirling guard: {k * n + 1} gaps overflow a {MAX_EXPONENT}-bounded key field")
+    if word_count(n, k, cap=PRODUCT_GUARD) > PRODUCT_GUARD:
+        raise SizeLimitError(f"k-Stirling guard: |Q_{n}({k})| exceeds {PRODUCT_GUARD} words")
 
 
 def _walk(n: int, k: int) -> dict[int, int]:
@@ -73,7 +75,6 @@ def _walk(n: int, k: int) -> dict[int, int]:
     kept, and every word adds 1 to its key's count at the last block.
     """
     guard(n, k)
-    key_guard(n, k)
     block_gaps = [k, *range(k - 1), k - 1]  # (a, m), (m, m) x (k-1), (m, b)
     step = [sum(1 << 16 * t for t in block_gaps) - (1 << 16 * old) for old in range(k + 1)]
     gaps, counts = list(block_gaps), {}  # 1^k put into (0, 0)

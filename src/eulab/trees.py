@@ -18,9 +18,10 @@ parent and bound, and the tree's statistics as one packed int key, 16 bits
 per field (the degree histogram, then the leaf children of the root), as
 ``exactalg`` packs exponents (Monagan--Pearce, CASC 2007).  An attachment
 adds a precomputed int to the key, and every tree adds 1 to its key's count
-at the last label, so the route stays exhaustive.  ``tree_count`` counts a
-family over degree states, and stops once past the 10^7-tree guard, so the
-guard trips before the walk.
+at the last label, so the route stays exhaustive.  ``guard`` refuses any n
+past the walk's depth bound, then counts the family over degree states
+(``tree_count``), stopping once past the 10^7-tree limit, so it trips
+before the walk.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import SizeLimitError
-from .exactalg import MAX_EXPONENT, Poly
+from .exactalg import Poly
 
 TREE_GUARD = 10**7
+MAX_DEPTH = 500  # labels per walk: well inside the recursion limit, and far below MAX_EXPONENT
 
 KINDS = ("nonplane", "plane", "forest012")
 
@@ -98,16 +100,16 @@ def tree_count(n: int, spec: FamilySpec, cap: int | None = None) -> int:
 
 
 def guard(n: int, spec: FamilySpec) -> None:
-    """Raise before any tree is built when the family is too large to walk."""
+    """Raise before any tree is built when the family is too deep or too large to walk.
+
+    The depth check comes first: the walk recurses once per label, and
+    ``MAX_DEPTH`` also keeps every key field (at most n + 1 vertices) in range.
+    """
+    if n > MAX_DEPTH:
+        raise SizeLimitError(f"tree guard: n={n} exceeds the walk's depth bound {MAX_DEPTH}")
     total = tree_count(n, spec, cap=TREE_GUARD)
     if total > TREE_GUARD:
         raise SizeLimitError(f"tree guard: the family has at least {total} trees, more than {TREE_GUARD}")
-
-
-def key_guard(n: int) -> None:
-    """Raise unless every field of a walk key fits: a field counts at most the n + 1 vertices."""
-    if n + 1 > MAX_EXPONENT:
-        raise SizeLimitError(f"tree guard: {n + 1} vertices overflow a {MAX_EXPONENT}-bounded key field")
 
 
 def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
@@ -121,7 +123,6 @@ def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
     at the last label, a plane vertex's d+1 gaps one tree each.
     """
     guard(n, spec)
-    key_guard(n)
     root = spec.root
     degree, parent, bound = [0] * (n + 1), [-1] * (n + 1), [spec.root_bound(n)] * (n + 1)
     rules = [[spec.attach(n, at_root, d) for d in range(n + 1)] for at_root in (False, True)]

@@ -95,14 +95,28 @@ class TestVerify:
     def test_guard_keeps_the_other_reports(self, capsys, monkeypatch):
         from eulab.identities import IDENTITY_NAMES
 
-        monkeypatch.setattr("eulab.permstats.MAX_PROFILE_N", 3)
+        monkeypatch.setattr("eulab.stirlingperm.PRODUCT_GUARD", 100)  # |Q_4(2)| = 105
         code, out, err = run(capsys, ["verify", "all", "--max-n", "4", "--json"])
         assert code == 3
         status = {r["identity"]: r["status"] for r in json.loads(out)}
         assert set(status) == set(IDENTITY_NAMES)
-        assert status.pop("diaconis") == "guard"
-        assert set(status.values()) == {"pass"}
-        assert err.count("size guard:") == 1
+        stirling = {"chenfu-esym", "kth-grammar", "mainthm-esym", "second-order-grammar"}
+        assert {name for name, s in status.items() if s == "guard"} == stirling
+        assert {status[name] for name in set(status) - stirling} == {"pass"}
+        assert err.count("size guard:") == len(stirling)
+        assert all(line.startswith("size guard: k-Stirling guard: |Q_4(") for line in err.splitlines())
+
+    def test_all_past_every_limit_guards_at_once(self, capsys):
+        from eulab.identities import IDENTITY_NAMES
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", "all", "--max-n", "2000", "--json"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        reports = json.loads(out)
+        assert [r["identity"] for r in reports] == list(IDENTITY_NAMES)
+        guarded = [r["identity"] for r in reports if r["status"] == "guard"]
+        assert len(guarded) == err.count("size guard:") == len(IDENTITY_NAMES) - 2
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_fraction_counterexample_is_serialized(self, capsys, monkeypatch, as_json):
@@ -175,6 +189,12 @@ class TestTable:
     def test_size_guard(self, capsys):
         code, _, err = run(capsys, ["table", "gamma-nij", "--n", "50"])
         assert code == 3
+
+    def test_kth_order_table_guards_at_large_n(self, capsys):
+        code, out, err = run(capsys, ["table", "kth-order", "--n", "2000", "--k", "1"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("size guard:")
 
     def test_negative_n_is_rejected(self, capsys):
         code, out, err = run(capsys, ["table", "eulerian", "--n", "-3", "--format", "json"])

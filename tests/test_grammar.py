@@ -142,7 +142,7 @@ class TestIterate:
 
 class TestTransformChecks:
     def test_catalog_entries_have_expected_outcomes(self):
-        for name, old, defs, new, expected in transform_catalog(4):
+        for name, old, defs, new, expected in transform_catalog(range(1, 5)):
             assert transform_check(old, defs, new) == expected, name
 
     def test_plane_vs_nonplane_insertion_multiplicity(self):

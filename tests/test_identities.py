@@ -100,6 +100,21 @@ def test_gamma_table_bound_is_a_guard_not_a_failure():
     assert "table guard" in report.note
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Make every enumeration walk raise; the list records the n of each walk started."""
+    calls = []
+
+    def sweep(n, *args):
+        calls.append(n)
+        raise AssertionError(f"enumeration at n={n} before the guard")
+
+    monkeypatch.setattr(permstats, "_perm_table", sweep)
+    monkeypatch.setattr(stirlingperm, "_walk", sweep)
+    monkeypatch.setattr(trees, "_walk", sweep)
+    return calls
+
+
 @pytest.mark.parametrize(
     "identity, max_n, message",
     [
@@ -110,26 +125,44 @@ def test_gamma_table_bound_is_a_guard_not_a_failure():
         ("trivariate-grammar", 10, "n=11 exceeds"),
         ("trivariate-egf", 10, "n=11 exceeds"),
         ("partial-gamma", 10, "n=11 exceeds"),
-        ("diaconis", 10, "profile guard"),
+        ("convolution", 10, "n=11 exceeds"),
+        ("diaconis", 11, "n=11 exceeds"),
         ("second-order-grammar", 9, "|Q_9(2)|"),
+        ("kth-grammar", 10, "|Q_10(2)|"),
         ("forest-gamma", 12, "tree guard"),
         ("andre", 60, "tree guard"),
+        ("final-corollary", 10, "34459425 trees"),
     ],
 )
-def test_guard_precedes_every_sweep(monkeypatch, identity, max_n, message):
-    calls = []
-
-    def sweep(n, *args):
-        calls.append(n)
-        raise AssertionError(f"enumeration at n={n} before the guard")
-
-    monkeypatch.setattr(permstats, "_perm_table", sweep)
-    monkeypatch.setattr(stirlingperm, "_walk", sweep)
-    monkeypatch.setattr(trees, "_walk", sweep)
+def test_guard_precedes_every_sweep(walks, identity, max_n, message):
     report = verify(identity, max_n)
     assert report.status == "guard"
     assert message in report.note
-    assert calls == []
+    assert walks == []
+
+
+@pytest.mark.parametrize("name", sorted(set(IDENTITY_NAMES) - {"transform-catalog", "mainthm-esym"}))
+def test_every_check_guards_before_any_walk(walks, name):
+    """Past every limit, each check with an n range reports GUARD and starts no walk."""
+    assert verify(name, 2000).status == "guard"
+    assert walks == []
+
+
+def test_mainthm_esym_guards_every_k(walks):
+    """mainthm-esym checks n <= min(max_n, k + 2), so it meets the word limit at a large k."""
+    report = verify("mainthm-esym", 10, 8)
+    assert report.status == "guard"
+    assert "|Q_10(8)|" in report.note
+    assert walks == []
+
+
+def test_transform_catalog_checks_one_multiplicity():
+    def g9_pairs(k):
+        cases = _REGISTRY["transform-catalog"].fn(0, k)
+        return [extra["transform"] for _, _, _, extra in cases if extra["transform"].startswith("G9")]
+
+    assert g9_pairs(3) == ["G9:3->G10:3"]
+    assert g9_pairs(None) == [f"G9:{k}->G10:{k}" for k in range(1, 5)]
 
 
 @pytest.mark.parametrize("oracle", [permstats, stirlingperm, trees], ids=lambda m: m.__name__)

@@ -212,9 +212,12 @@ class TestProfilesAndJointCounts:
             by_suc, by_fix = diaconis_profile(n)
             assert by_suc == by_fix
 
+    def test_diaconis_profile_empty(self):
+        assert diaconis_profile(0) == ({frozenset(): 1}, {frozenset(): 1})
+
     def test_profile_guard(self):
-        with pytest.raises(SizeLimitError):
-            diaconis_profile(10)
+        with pytest.raises(SizeLimitError, match="n=11 exceeds"):
+            diaconis_profile(11)
 
     def test_roselle_relation(self):
         for n in range(1, 8):

@@ -3,7 +3,9 @@
 import re
 from pathlib import Path
 
-from eulab import cli, expand, identities
+import pytest
+
+from eulab import cli, exactalg, expand, identities, permstats, series, stirlingperm, trees
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -26,3 +28,26 @@ def test_table_names():
 
 def test_expand_bases():
     assert names(r"in one of the bases (.*?)\. ") == list(expand.BASES)
+
+
+@pytest.mark.parametrize(
+    "phrase, limit",
+    [
+        (r"permutation enumeration at `n <= (\d+)`", permstats.MAX_ENUM_N),
+        (r"Stirling generation at (\d+\^\d+) words", stirlingperm.PRODUCT_GUARD),
+        (r"tree generation at (\d+\^\d+) trees", trees.TREE_GUARD),
+        (r"depth bound `n <= (\d+)`", trees.MAX_DEPTH),
+        (r"triangles at `n <= (\d+)`", permstats.MAX_TRIANGLE_N),
+        (r"gamma tables at `n <= (\d+)`", expand.MAX_TABLE_N),
+        (r"at order (\d+)", series.MAX_SERIES_ORDER),
+        (r"key field at (\d+)", exactalg.MAX_EXPONENT),
+    ],
+)
+def test_guard_limits(phrase, limit):
+    """Each limit the Guards paragraph quotes is the constant its guard reads."""
+    paragraph = re.search(r"\nGuards: (.*?)\n\n", README, re.DOTALL)
+    assert paragraph
+    match = re.search(phrase, " ".join(paragraph.group(1).split()))
+    assert match, phrase
+    base, _, power = match.group(1).partition("^")
+    assert int(base) ** int(power or 1) == limit

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from eulab.grammar import g9, stirling_vars
 from eulab.permstats import perm_poly, second_order_poly_from_triangle
 from eulab.stirlingperm import (
     _walk,
-    key_guard,
+    guard,
     kth_order_poly,
     stats,
     trivariate_second_order,
@@ -125,34 +126,50 @@ class TestIncrementalWalk:
             assert kth_order_poly(n, k) == want, (n, k)
 
     def test_guard_runs_before_the_walk(self, monkeypatch):
-        started = []
+        counted = []
 
-        def spy(n, k):  # the key check is the walk's first step after the size guard
-            started.append((n, k))
+        def spy(n, k, cap=None):  # the word count is the guard's last step before the walk
+            counted.append((n, k))
+            return word_count(n, k, cap)
 
-        monkeypatch.setattr(stirlingperm_mod, "key_guard", spy)
-        with pytest.raises(SizeLimitError):
-            _walk(12, 3)
-        with pytest.raises(SizeLimitError):
-            gen(12, 3)
+        monkeypatch.setattr(stirlingperm_mod, "word_count", spy)
+        with pytest.raises(SizeLimitError, match="32768 gaps"):
+            _walk(MAX_EXPONENT, 1)
+        with pytest.raises(SizeLimitError, match="32768 gaps"):
+            gen(MAX_EXPONENT, 1)
         with pytest.raises(ValueError):
             _walk(0, 2)
-        assert started == []
+        assert counted == []
+        with pytest.raises(SizeLimitError, match=r"\|Q_12\(3\)\| exceeds"):
+            _walk(12, 3)
+        assert counted == [(12, 3)]
         # 1122, 1221 and 2211 as (x_1, x_2, x_3) exponents
         assert _walk(2, 2) == {pack((2, 1, 2)): 1, pack((1, 2, 2)): 1, pack((2, 2, 1)): 1}
-        assert started == [(2, 2)]
+        assert counted == [(12, 3), (2, 2)]
 
     def test_key_fields_are_checked_before_the_walk(self, monkeypatch):
-        key_guard(MAX_EXPONENT // 3, 3)  # 3n + 1 = 32767
+        guard(1, MAX_EXPONENT - 1)  # k + 1 = 32767 gaps, one word
+        guard(2, MAX_EXPONENT // 2)  # 2k + 1 = 32767 gaps, k + 1 words
+        with pytest.raises(SizeLimitError, match="32769 gaps"):
+            guard(2, MAX_EXPONENT // 2 + 1)
         with pytest.raises(SizeLimitError, match="32770 gaps"):
-            key_guard(MAX_EXPONENT // 3 + 1, 3)
+            guard(MAX_EXPONENT // 3 + 1, 3)
         with pytest.raises(SizeLimitError, match="32768 gaps"):
-            key_guard(MAX_EXPONENT, 1)
+            guard(MAX_EXPONENT, 1)
         # with a smaller field limit, a walk whose counts would pass it does not start
         monkeypatch.setattr(stirlingperm_mod, "MAX_EXPONENT", 7)
         assert _walk(3, 2)
         with pytest.raises(SizeLimitError, match="9 gaps"):
             _walk(4, 2)
+
+    def test_guard_stops_counting_once_past_the_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"\|Q_2000\(1\)\| exceeds"):
+            guard(2000, 1)
+        assert time.perf_counter() - start < 0.1
+        # a capped count is past the cap, and an uncapped one below it is exact
+        assert 10**3 < word_count(2000, 1, cap=10**3) < 10**5
+        assert word_count(9, 2, cap=10**8) == word_count(9, 2) == 34459425
 
 
 class TestStats:

@@ -231,35 +231,42 @@ class TestIncrementalWalk:
             assert tree_count(n, FamilySpec("nonplane", None)) == factorial(n)
 
     def test_guard_trips_before_any_tree(self, monkeypatch):
-        # the key check is the walk's first step after the size guard
-        started = []
-        key_guard = trees_mod.key_guard
+        # the count is the guard's last step before the walk
+        counted = []
+        count = trees_mod.tree_count
 
-        def spy(n):
-            started.append(n)
-            key_guard(n)
+        def spy(n, spec, cap=None):
+            counted.append(n)
+            return count(n, spec, cap)
 
         monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
-        monkeypatch.setattr(trees_mod, "key_guard", spy)
+        monkeypatch.setattr(trees_mod, "tree_count", spy)
         tree_weight_poly.cache_clear()
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="more than 10$"):
             tree_weight_poly(5, "deghist")
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="more than 10$"):
             trees_mod._walk(5, FamilySpec("plane", None))
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="more than 10$"):
             list(trees_gen(5, FamilySpec("plane", None)))
-        assert started == []
+        with pytest.raises(SizeLimitError, match="depth bound"):
+            trees_mod._walk(trees_mod.MAX_DEPTH + 1, FamilySpec("plane", 1))
+        assert counted == [5, 5, 5]
         assert trees_mod._walk(3, FamilySpec("plane", None)) == {pack((1, 2, 0, 0)): 1, pack((2, 0, 1, 2)): 2}
-        assert started == [3]
+        assert counted == [5, 5, 5, 3]
 
     def test_key_fields_are_checked_before_the_walk(self, monkeypatch):
-        trees_mod.key_guard(MAX_EXPONENT - 1)
-        with pytest.raises(SizeLimitError, match="32768 vertices"):
-            trees_mod.key_guard(MAX_EXPONENT)
-        # with a smaller field limit, a walk whose counts would pass it does not start
-        monkeypatch.setattr(trees_mod, "MAX_EXPONENT", 4)
+        # a field counts at most the n + 1 vertices, so the depth bound keeps every field in range
+        assert trees_mod.MAX_DEPTH + 1 <= MAX_EXPONENT
+        depth = trees_mod.MAX_DEPTH
+        assert tree_weight_poly(depth, "deghist", 1) == Poly.var("m_1") * Poly.var("m_2") ** (depth - 1)
+        with pytest.raises(SizeLimitError, match=f"n={depth + 1} exceeds"):
+            trees_mod.guard(depth + 1, FamilySpec("plane", 1))
+        with pytest.raises(SizeLimitError, match="depth bound"):
+            tree_weight_poly(1500, "deghist", 1)  # a path: one tree, deeper than the walk can recurse
+        # with a smaller depth bound, a walk past it does not start
+        monkeypatch.setattr(trees_mod, "MAX_DEPTH", 3)
         assert trees_mod._walk(3, FamilySpec("plane", None))
-        with pytest.raises(SizeLimitError, match="5 vertices"):
+        with pytest.raises(SizeLimitError, match="n=4 exceeds"):
             trees_mod._walk(4, FamilySpec("plane", None))
 
     def test_guard_is_checked_when_the_stream_is_made(self):
