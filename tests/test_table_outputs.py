@@ -3,7 +3,10 @@
 ``table_digests.json`` holds the SHA-256 of the stdout of
 ``eulab table <name> --n 6 --format <json|csv>`` for every table name, with
 ``kth-order`` at ``--k 2`` and ``--k 3``, recorded at commit 41650f4, while
-the names were still spelled out in ``cli.py``.
+the names were still spelled out in ``cli.py``.  Its ``edge_rows`` hold the
+same digests for the two gamma tables at ``--n 0`` and at the table guard's
+top row, ``--n 12``, recorded at commit 297ce20, before the tables were stored
+by row.
 """
 
 import contextlib
@@ -32,9 +35,12 @@ TABLES = (
     ("andre", None),
 )
 
+#: (name, n) of the gamma tables pinned at their first row and at the guard's top row
+EDGE_ROWS = tuple((name, n) for name in ("gamma-nij", "gamma-histogram") for n in (0, 12))
 
-def table_output(name: str, k: int | None, fmt: str) -> str:
-    argv = ["table", name, "--n", str(N), "--format", fmt]
+
+def table_output(name: str, k: int | None, fmt: str, n: int = N) -> str:
+    argv = ["table", name, "--n", str(n), "--format", fmt]
     if k is not None:
         argv += ["--k", str(k)]
     out = io.StringIO()
@@ -50,7 +56,12 @@ def record() -> dict:
             [name, k, fmt, hashlib.sha256(table_output(name, k, fmt).encode()).hexdigest()]
             for name, k in TABLES
             for fmt in ("json", "csv")
-        ]
+        ],
+        "edge_rows": [
+            [name, n, fmt, hashlib.sha256(table_output(name, None, fmt, n).encode()).hexdigest()]
+            for name, n in EDGE_ROWS
+            for fmt in ("json", "csv")
+        ],
     }
 
 
@@ -61,6 +72,15 @@ def record() -> dict:
 )
 def test_table_output(name, k, fmt, digest):
     assert hashlib.sha256(table_output(name, k, fmt).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, n, fmt, digest",
+    DIGESTS["edge_rows"],
+    ids=[f"{name}-{n}-{fmt}" for name, n, fmt, _ in DIGESTS["edge_rows"]],
+)
+def test_gamma_table_edge_rows(name, n, fmt, digest):
+    assert hashlib.sha256(table_output(name, None, fmt, n).encode()).hexdigest() == digest
 
 
 def test_every_table_name_is_pinned():
