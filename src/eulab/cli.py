@@ -79,13 +79,15 @@ def _triangle_table(triangle: str) -> Callable[[int, int | None], _IntegerTable]
 
 
 def _gamma_nij_table(n: int, k: int | None) -> _IntegerTable:
-    table = expand_mod.gamma_tables("gamma-nij", n)
-    return ("n", "i", "j", "value"), [key + (v,) for key, v in sorted(table.values.items())]
+    rows = expand_mod.gamma_tables("gamma-nij", n).values
+    cells = [(m, *key, v) for m, row in enumerate(rows) for key, v in sorted(row.items())]
+    return ("n", "i", "j", "value"), cells
 
 
 def _gamma_histogram_table(n: int, k: int | None) -> _IntegerTable:
-    table = expand_mod.gamma_tables("gamma-n-histogram", n)
-    return ("n", "index", "value"), [(key[0], list(key[1:]), v) for key, v in sorted(table.values.items())]
+    rows = expand_mod.gamma_tables("gamma-n-histogram", n).values
+    cells = [(m, list(key), v) for m, row in enumerate(rows) for key, v in sorted(row.items())]
+    return ("n", "index", "value"), cells
 
 
 def _kth_order_table(n: int, k: int | None) -> Poly:

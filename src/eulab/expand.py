@@ -1,4 +1,4 @@
-"""Basis-expansion solvers and recurrence-driven gamma tables.
+"""Basis-expansion solvers and the gamma coefficient tables.
 
 Each solver peels coefficients: it reads one basis coefficient and subtracts that
 element's coefficients from a dense list or (esym) a table of partitions, so no basis
@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from math import comb, prod
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     NotExpandableError,
@@ -26,8 +26,6 @@ from .grammar import e_exponent_table, g10
 MAX_TABLE_N = 12
 
 BASES = ("gamma", "frobenius", "partial-gamma", "esym")
-
-TABLE_KINDS = ("gamma-nij", "gamma-n-histogram", "gamma-n-xy-poly")
 
 
 @dataclass
@@ -209,70 +207,63 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
 
 @dataclass(frozen=True)
 class GammaTable:
-    """One of the three recurrence-driven coefficient tables.
+    """One of the three gamma coefficient tables, stored by row: ``values[n]`` is row n.
 
-    gamma-nij        values[(n, i, j)] -> int
-    gamma-n-histogram values[(n, (i_1..i_n))] -> int
-    gamma-n-xy-poly  values[n] -> Poly in x, y
+    gamma-nij         values[n] -> {(i, j): gamma_{n,i,j}}, by recurrence
+    gamma-n-histogram values[n] -> {(i_1..i_n): gamma(n; i_1..i_n)}, read off
+                      G10 iteration (the grammar route); row 0 is {}
+    gamma-n-xy-poly   values[n] -> gamma_n(x, y) as a Poly in x, y, by recurrence
     """
 
-    kind: str
-    n_max: int
-    values: Mapping
+    values: tuple
 
 
 @lru_cache(maxsize=None)
 def gamma_tables(kind: str, n_max: int) -> GammaTable:
-    if kind not in TABLE_KINDS:
+    """Rows 0..n_max of the table ``kind``; refused past ``MAX_TABLE_N``."""
+    if kind not in _FILLS:
         raise ValueError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if not 0 <= n_max <= MAX_TABLE_N:
         raise OutOfRangeError(f"table guard: need 0 <= n_max <= {MAX_TABLE_N}")
-    if kind == "gamma-nij":
-        return GammaTable(kind, n_max, _fill_gamma_nij(n_max))
-    if kind == "gamma-n-histogram":
-        return GammaTable(kind, n_max, _fill_histogram(n_max))
-    return GammaTable(kind, n_max, _fill_gamma_xy(n_max))
+    return GammaTable(tuple(_FILLS[kind](n_max)))
 
 
-def _fill_gamma_nij(n_max: int) -> dict[tuple[int, int, int], int]:
-    values = {(0, 0, 0): 1}
-
-    def get(n: int, i: int, j: int) -> int:
-        if i < 0 or j < 0 or i + 2 * j > n:
-            return 0
-        return values.get((n, i, j), 0)
-
+def _fill_gamma_nij(n_max: int) -> list[dict[tuple[int, int], int]]:
+    rows = [{(0, 0): 1}]
     for n in range(n_max):
+        prev, row = rows[n], {}
         for i in range(n + 2):
             for j in range((n + 1 - i) // 2 + 1):
                 val = (
-                    get(n, i - 1, j)
-                    + (1 + i) * get(n, i + 1, j - 1)
-                    + j * get(n, i, j)
-                    + (n - i - 2 * j + 2) * get(n, i, j - 1)
+                    prev.get((i - 1, j), 0)
+                    + (1 + i) * prev.get((i + 1, j - 1), 0)
+                    + j * prev.get((i, j), 0)
+                    + (n - i - 2 * j + 2) * prev.get((i, j - 1), 0)
                 )
                 if val:
-                    values[(n + 1, i, j)] = val
-    return values
+                    row[(i, j)] = val
+        rows.append(row)
+    return rows
 
 
-def _fill_histogram(n_max: int) -> dict[tuple[int, ...], int]:
-    """Rows gamma(n; i_1..i_n) for 1 <= n <= n_max, read off G10 iteration.
+def _fill_histogram(n_max: int) -> list[dict[tuple[int, ...], int]]:
+    """Rows gamma(n; i_1..i_n) for n <= n_max, read off G10 iteration.
 
     Iterating with k = n_max - 1 keeps every e-index in range (the smallest
-    index reached in row n is k - n + 2 >= 1), and the histogram does not
-    depend on k as long as k >= n - 2.
+    index reached in row n is k - n + 2 >= 1).  The entries do not depend on k
+    once k >= n - 2, but i_n, the exponent of e_{k-n+2}, is read only at k >= n - 1.
     """
-    values: dict[tuple[int, ...], int] = {}
+    rows: list[dict[tuple[int, ...], int]] = [{}]
     k = max(n_max - 1, 1)
     for n, p in islice(enumerate(g10(k).iterates(Poly.var("x_1"))), 1, n_max + 1):
+        row = {}
         for exps, coeff in e_exponent_table(p, k).items():
             # exponent of e_{k-j+2} is i_j;  exps is indexed by e_1..e_{k+1}
             hist = tuple(exps[k - j + 1] for j in range(1, n + 1))
-            row_key = (n,) + hist
-            values[row_key] = int(coeff)
+            row[hist] = int(coeff)
             _assert_histogram_row(n, hist, coeff)
-    return values
+        rows.append(row)
+    return rows
 
 
 def _assert_histogram_row(n: int, hist: tuple[int, ...], coeff: Rational) -> None:
@@ -289,19 +280,20 @@ def _assert_histogram_row(n: int, hist: tuple[int, ...], coeff: Rational) -> Non
             raise AssertionError(f"gamma({n};{hist}): i_n = 1 forces i_1 = n - 1")
 
 
-def _fill_gamma_xy(n_max: int) -> dict[int, Poly]:
+def _fill_gamma_xy(n_max: int) -> list[Poly]:
     x, y = Poly.var("x"), Poly.var("y")
-    values = {0: Poly.one()}
+    rows = [Poly.one()]
     for n in range(n_max):
-        g = values[n]
-        values[n + 1] = (
-            (x + n * y) * g + y * (1 - x) * g.diff("x") + y * (1 - 2 * y) * g.diff("y")
-        )
-    return values
+        g = rows[n]
+        rows.append((x + n * y) * g + y * (1 - x) * g.diff("x") + y * (1 - 2 * y) * g.diff("y"))
+    return rows
 
 
-def histogram_row(table: GammaTable, n: int) -> dict[tuple[int, ...], int]:
-    """All gamma(n; i_1..i_n) entries of a histogram table as {hist: value}."""
-    if table.kind != "gamma-n-histogram":
-        raise ValueError("not a histogram table")
-    return {key[1:]: v for key, v in table.values.items() if key[0] == n}
+#: table kind -> the rows 0..n_max of that table
+_FILLS: dict[str, Callable[[int], list]] = {
+    "gamma-nij": _fill_gamma_nij,
+    "gamma-n-histogram": _fill_histogram,
+    "gamma-n-xy-poly": _fill_gamma_xy,
+}
+
+TABLE_KINDS = tuple(_FILLS)

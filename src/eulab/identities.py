@@ -9,9 +9,10 @@ serialized, so a red result is always reproducible.
 
 Default ranges are sized so the whole catalog finishes in under a second of
 pure Python: permutation oracles n <= 7 or 8, Stirling and tree oracles well
-under 10^6 words or trees, series order <= 8.  Every check calls the guard
-of each enumeration oracle it reads at its largest n before its first case,
-so a PASS at ``max_n`` means every route ran every n up to it.
+under 10^6 words or trees, series order <= 8.  Every check meets each range
+guard of the routes it reads (an oracle's size guard, the triangle, gamma-table
+and series-order bounds) at its largest n before its first case, so a PASS at
+``max_n`` means every route ran every n up to it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
-from .errors import SizeLimitError, UnknownIdentityError
+from .errors import OutOfRangeError, SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
 
@@ -149,8 +150,7 @@ def _partial_gamma(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-nij", max_n)
     for n in range(max_n + 1):
         expansion = expand.partial_gamma_expand(permstats.perm_poly(n + 1, "trivariate"), n)
-        want = {(i, j): v for (nn, i, j), v in table.values.items() if nn == n}
-        yield n, expansion.coeffs, want, {}
+        yield n, expansion.coeffs, table.values[n], {}
 
 
 def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
@@ -158,8 +158,7 @@ def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-nij", max_n)
     for n in range(max_n + 1):
         got = trees.tree_weight_poly(n, "forest-gamma").exponent_table(["t", "u"])
-        want = {(i, j): v for (nn, i, j), v in table.values.items() if nn == n}
-        yield n, got, want, {}
+        yield n, got, table.values[n], {}
 
 
 def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
@@ -299,15 +298,15 @@ def _gamma_closed_values(max_n: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-n-histogram", max_n + 1)  # row n + 1 is read below
     for n in range(3, max_n + 1):
         key = (2, n - 3, 1) + (0,) * (n - 3)
-        got = expand.histogram_row(table, n).get(key, 0)
-        yield n, got, 2**n - 2 * n, {"key": list(key)}
+        yield n, table.values[n].get(key, 0), 2**n - 2 * n, {"key": list(key)}
     for n in range(2, max_n + 1):
         key = (n,) + (0,) * (n - 1) + (1,)
-        got = expand.histogram_row(table, n + 1).get(key, 0)
-        yield n + 1, got, factorial(n), {"key": list(key)}
+        yield n + 1, table.values[n + 1].get(key, 0), factorial(n), {"key": list(key)}
 
 
 def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
+    if max_n > permstats.MAX_TRIANGLE_N:  # triangle's own guard, met before the first row is built
+        raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {permstats.MAX_TRIANGLE_N}")
     for n in range(2, max_n + 1):
         yield n, permstats.triangle("second-order-eulerian", n, 2), 2 ** (n + 1) - 2 * (n + 1), {}
 
@@ -316,13 +315,12 @@ def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
     trees.guard(max_n, trees.default_spec("deghist"))
     table = expand.gamma_tables("gamma-n-histogram", max_n)
     for n in range(2, max_n + 1):
-        row = expand.histogram_row(table, n)
         want = {j: permstats.triangle("second-order-eulerian", n - 1, j) for j in range(1, n)}
         for j in range(1, n):
-            yield n, sum(v for key, v in row.items() if key[0] == j), want[j], {"j": j}
-        leaf_counts = trees.leaf_counts_plane(n)
+            yield n, sum(v for key, v in table.values[n].items() if key[0] == j), want[j], {"j": j}
+        leaf_counts = trees.tree_weight_poly(n, "deghist").exponent_table(["m_1"])
         for j in range(1, n):
-            yield n, leaf_counts.get(j, 0), want[j], {"j": j, "route": "leaf-count"}
+            yield n, leaf_counts.get((j,), 0), want[j], {"j": j, "route": "leaf-count"}
 
 
 def _andre(max_n: int, k: int | None) -> Iterator[Case]:

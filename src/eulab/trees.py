@@ -195,16 +195,3 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
     fields = range(0, 16 * (n - spec.root + 2), 16)
     keys = ((tuple([key >> s & 0xFFFF for s in fields]), ways) for key, ways in _walk(n, spec).items())
     return Poly.from_exponents((project(key[:-1], key[-1], n), ways) for key, ways in keys)
-
-
-def histogram_table(n: int, maxdeg: int | None = None) -> dict[tuple[int, ...], int]:
-    """Degree-histogram counts (i_1..i_n) over plane trees on [n] (tree route)."""
-    return tree_weight_poly(n, "deghist", maxdeg).exponent_table([f"m_{j}" for j in range(1, n + 1)])
-
-
-def leaf_counts_plane(n: int) -> dict[int, int]:
-    """#{increasing plane trees on [n] with j leaves}, unbounded degree."""
-    out: dict[int, int] = {}
-    for key, c in histogram_table(n).items():
-        out[key[0]] = out.get(key[0], 0) + c
-    return out

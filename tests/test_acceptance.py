@@ -74,8 +74,7 @@ def test_03_gamma_table_vs_forests():
             for mono, c in trees.tree_weight_poly(n, "forest-gamma").items():
                 exps = dict(mono)
                 got[(exps.get("t", 0), exps.get("u", 0))] = c
-            want = {(i, j): c for (nn, i, j), c in table.values.items() if nn == n}
-            assert got == want, n
+            assert got == table.values[n], n
 
 
 def test_04_frobenius():
@@ -170,17 +169,17 @@ def test_09_closed_form_gamma_values():
     with criterion(9, "closed-form gamma and second-order values", 60.0):
         table = expand.gamma_tables("gamma-n-histogram", 9)
         for n in range(3, 9):
-            row = expand.histogram_row(table, n)
+            row = table.values[n]
             assert row[(2, n - 3, 1) + (0,) * (n - 3)] == 2**n - 2 * n, n
         for n in range(3, 9):
-            row = expand.histogram_row(table, n + 1)
+            row = table.values[n + 1]
             key = (n,) + (0,) * (n - 1) + (1,)
             assert row[key] == factorial(n), n
         for n in range(2, 21):
             assert permstats.triangle("second-order-eulerian", n, 2) == 2 ** (n + 1) - 2 * (n + 1)
         hist7 = expand.gamma_tables("gamma-n-histogram", 7)
         for n in range(2, 8):
-            row = expand.histogram_row(hist7, n)
+            row = hist7.values[n]
             for j in range(1, n):
                 total = sum(c for key, c in row.items() if key[0] == j)
                 assert total == permstats.triangle("second-order-eulerian", n - 1, j), (n, j)

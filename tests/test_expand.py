@@ -15,13 +15,14 @@ from eulab.errors import (
 )
 from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 from eulab.expand import (
+    MAX_TABLE_N,
+    TABLE_KINDS,
     _dominated,
     _e_coefficient,
     esym_expand,
     frobenius_expand,
     gamma_expand,
     gamma_tables,
-    histogram_row,
     partial_gamma_expand,
 )
 from eulab.grammar import e_exponent_table, g10, stirling_vars
@@ -452,30 +453,29 @@ class TestCoefficientPeels:
 class TestGammaTables:
     def test_nij_small_entries(self):
         table = gamma_tables("gamma-nij", 4)
-        assert table.values[(2, 0, 1)] == 1
-        assert table.values[(2, 2, 0)] == 1
-        assert table.values[(4, 0, 2)] == 4
+        assert table.values[2][(0, 1)] == 1
+        assert table.values[2][(2, 0)] == 1
+        assert table.values[4][(0, 2)] == 4
 
     def test_nij_matches_partial_gamma(self):
         table = gamma_tables("gamma-nij", 7)
         for n in range(8):
             expansion = partial_gamma_expand(perm_poly(n + 1, "trivariate"), n)
-            want = {(i, j): c for (nn, i, j), c in table.values.items() if nn == n}
-            assert {k: int(c) for k, c in expansion.coeffs.items()} == want
+            assert {k: int(c) for k, c in expansion.coeffs.items()} == table.values[n]
 
     def test_histogram_entries(self):
         table = gamma_tables("gamma-n-histogram", 5)
-        assert table.values[(4, 2, 1, 1, 0)] == 8
-        assert table.values[(3, 2, 0, 1)] == 2
-        assert histogram_row(table, 2) == {(1, 1): 1}
+        assert table.values[4][(2, 1, 1, 0)] == 8
+        assert table.values[3][(2, 0, 1)] == 2
+        assert table.values[2] == {(1, 1): 1}
 
     def test_histogram_closed_forms(self):
         table = gamma_tables("gamma-n-histogram", 9)
         for n in range(3, 9):
-            row = histogram_row(table, n)
+            row = table.values[n]
             assert row[(2, n - 3, 1) + (0,) * (n - 3)] == 2**n - 2 * n
         for n in range(2, 9):
-            row = histogram_row(table, n + 1)
+            row = table.values[n + 1]
             assert row[(n,) + (0,) * (n - 1) + (1,)] == factorial(n)
 
     def test_histogram_matches_grammar_exponents(self):
@@ -486,7 +486,7 @@ class TestGammaTables:
         for n in range(1, 6):
             p = grammar.derive(p)
             exps = e_exponent_table(p, k)
-            row = histogram_row(table, n)
+            row = table.values[n]
             rebuilt = {}
             for key, c in exps.items():
                 hist = tuple(key[k - j + 1] for j in range(1, n + 1))
@@ -498,9 +498,8 @@ class TestGammaTables:
         nij = gamma_tables("gamma-nij", 8)
         for n in range(9):
             expected = Poly.zero()
-            for (nn, i, j), c in nij.values.items():
-                if nn == n:
-                    expected = expected + c * x**i * y**j
+            for (i, j), c in nij.values[n].items():
+                expected = expected + c * x**i * y**j
             assert xy.values[n] == expected
 
     def test_xy_poly_matches_closed_form_at_sample_points(self):
@@ -513,6 +512,20 @@ class TestGammaTables:
                     lhs = series.egf_coefficient(n).constant_value()
                     rhs = table.values[n].evaluate({"x": x0, "y": y0})
                     assert lhs == rhs, (n, x0, y0)
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_rows_do_not_depend_on_n_max(self, kind):
+        """A table up to n_max holds rows 0..n_max, each equal to that row of the largest table.
+
+        The histogram rows are read off G10:(n_max - 1), so this also checks that row n
+        does not depend on k for every k from n - 1, the smallest k that reads it, to
+        MAX_TABLE_N - 1.
+        """
+        largest = gamma_tables(kind, MAX_TABLE_N).values
+        for n_max in range(MAX_TABLE_N + 1):
+            rows = gamma_tables(kind, n_max).values
+            assert len(rows) == n_max + 1
+            assert rows == largest[: n_max + 1], n_max
 
     def test_guard(self):
         with pytest.raises(OutOfRangeError):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eulab import identities, permstats, stirlingperm, trees
+from eulab import expand, identities, permstats, stirlingperm, trees
 from eulab.exactalg import Poly
 from eulab.identities import _REGISTRY, IDENTITY_NAMES, _first_mismatch, verify
 from eulab.series import Series
@@ -102,16 +102,23 @@ def test_gamma_table_bound_is_a_guard_not_a_failure():
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Make every enumeration walk raise; the list records the n of each walk started."""
+    """Make every walk behind a range guard raise; the list records the arguments of each.
+
+    The walks are the three enumeration oracles, the triangle rows and the fills of
+    the gamma tables.
+    """
     calls = []
 
-    def sweep(n, *args):
-        calls.append(n)
-        raise AssertionError(f"enumeration at n={n} before the guard")
+    def sweep(*args):
+        calls.append(args)
+        raise AssertionError(f"walk {args} before the guard")
 
     monkeypatch.setattr(permstats, "_perm_table", sweep)
     monkeypatch.setattr(stirlingperm, "_walk", sweep)
     monkeypatch.setattr(trees, "_walk", sweep)
+    monkeypatch.setattr(permstats, "_triangle_row", sweep)
+    for kind in expand.TABLE_KINDS:
+        monkeypatch.setitem(expand._FILLS, kind, sweep)
     return calls
 
 

@@ -13,14 +13,17 @@ from eulab.trees import (
     WEIGHTINGS,
     FamilySpec,
     default_spec,
-    histogram_table,
-    leaf_counts_plane,
     tree_count,
     tree_weight_poly,
 )
 from reference_walks import pack, tree_walk, trees_gen
 
 u, v, t, x = Poly.var("u"), Poly.var("v"), Poly.var("t"), Poly.var("x")
+
+
+def histogram_table(n):
+    """Degree-histogram counts (i_1..i_n) over plane trees on [n] (tree route)."""
+    return tree_weight_poly(n, "deghist").exponent_table([f"m_{j}" for j in range(1, n + 1)])
 
 
 class TestGeneration:
@@ -95,8 +98,7 @@ class TestWeights:
             for mono, c in tree_weight_poly(n, "forest-gamma").items():
                 exps = dict(mono)
                 got[(exps.get("t", 0), exps.get("u", 0))] = c
-            want = {(i, j): c for (nn, i, j), c in table.values.items() if nn == n}
-            assert got == want, n
+            assert got == table.values[n], n
 
     def test_plane_leaf_counts_give_gamma_coefficients(self):
         for n in range(1, 9):
@@ -134,15 +136,13 @@ class TestWeights:
 
     def test_histograms_match_grammar_table(self):
         table = gamma_tables("gamma-n-histogram", 6)
-        from eulab.expand import histogram_row
-
         for n in range(1, 7):
-            assert histogram_table(n) == histogram_row(table, n), n
+            assert histogram_table(n) == table.values[n], n
 
     def test_leaf_counts_match_second_order_numbers(self):
         for n in range(1, 8):
-            counts = leaf_counts_plane(n + 1)
-            for j, c in counts.items():
+            counts = tree_weight_poly(n + 1, "deghist").exponent_table(["m_1"])
+            for (j,), c in counts.items():
                 assert c == triangle("second-order-eulerian", n, j)
 
     def test_degree_histogram_edge_identity(self):
