@@ -231,15 +231,15 @@ def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
 def _chenfu_esym(max_n: int, k: int | None) -> Iterator[Case]:
     stirlingperm.guard(max_n, 2)  # the whole range first; the words outnumber the trees
     for n in range(1, max_n + 1):
-        gamma_kj = trees.tree_weight_poly(n, "chenfu-3").exponent_table(["m_1", "m_2"])
+        gamma_kj = trees.tree_weight_poly(n, "deghist", 3).exponent_table(["m_1", "m_2"])
         # gamma_kj[k, j] multiplies e_1^(2n+1-2j-3k) e_2^j e_3^k, the e_i taken in x, y, z
         esym = {(2 * n + 1 - 2 * j - 3 * kk, j, kk): c for (kk, j), c in gamma_kj.items()}
         rhs = expand.Expansion("esym", esym, variables=("x", "y", "z")).reconstruct()
         yield n, stirlingperm.trivariate_second_order(n), rhs, {}
 
 
-def _k_range(k: int | None, k_max: int = 4) -> range:
-    return range(k, k + 1) if k is not None else range(1, k_max + 1)
+def _k_range(k: int | None) -> range:
+    return range(k, k + 1) if k is not None else range(1, 5)
 
 
 def _kth_grammar(max_n: int, k: int | None) -> Iterator[Case]:
@@ -271,11 +271,11 @@ def _known_g10_forms(kk: int) -> dict[int, Poly]:
 
 def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
     for kk in _k_range(k):
-        stirlingperm.guard(min(max_n, kk + 2), kk)
+        stirlingperm.guard(max_n, kk)
     for kk in _k_range(k):
         g10 = grammar.g10(kk)
         known = _known_g10_forms(kk)
-        steps = zip(range(1, min(max_n, kk + 2) + 1), g10.iterates(g10.derive(Poly.var("x_1"))))
+        steps = zip(range(1, max_n + 1), g10.iterates(g10.derive(Poly.var("x_1"))))
         for n, current in steps:
             if n in known:
                 yield n, current, known[n], {"k": kk, "route": "closed-form"}

@@ -18,10 +18,10 @@ parent and bound, and the tree's statistics as one packed int key, 16 bits
 per field (the degree histogram, then the leaf children of the root), as
 ``exactalg`` packs exponents (Monagan--Pearce, CASC 2007).  An attachment
 adds a precomputed int to the key, and every tree adds 1 to its key's count
-at the last label, so the route stays exhaustive.  ``guard`` refuses any n
-past the walk's depth bound, then counts the family over degree states
-(``tree_count``), stopping once past the 10^7-tree limit, so it trips
-before the walk.
+at the last label, so the route stays exhaustive.  The walk is cached: each
+family is walked once per n, as S_n is swept once, for every weighting and
+call shape.  ``guard`` refuses an n past the walk's depth bound, then counts
+the family over degree states (``tree_count``) until past the 10^7 limit.
 """
 
 from __future__ import annotations
@@ -112,6 +112,7 @@ def guard(n: int, spec: FamilySpec) -> None:
         raise SizeLimitError(f"tree guard: the family has at least {total} trees, more than {TREE_GUARD}")
 
 
+@lru_cache(maxsize=None)
 def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
     """The number of trees of the family with each degree state, keyed by the packed state.
 
@@ -154,19 +155,13 @@ def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
     return counts
 
 
-def _by_degree(counts: tuple[int, ...], root_leaves: int, n: int) -> dict[str, int]:
-    return {f"m_{j + 1}": c for j, c in enumerate(counts) if c}
-
-
 #: weighting -> (family kind, degree bound or None for the caller's maxdeg, the
 #: exponents of one tree from its degree counts, root leaf children and n)
 _WEIGHTINGS: dict[str, tuple[str, int | None, Callable[[tuple[int, ...], int, int], dict[str, int]]]] = {
     "andre": ("nonplane", 2, lambda c, r, n: {"u": c[0], "v": c[1] if len(c) > 1 else 0}),
     # the root is a leaf only when it is the whole tree
     "forest-gamma": ("forest012", None, lambda c, r, n: {"t": r, "u": c[0] - r - (n == 0)}),
-    "plane-leaf": ("plane", 2, lambda c, r, n: {"x": c[0]}),
-    "chenfu-3": ("plane", 3, _by_degree),
-    "deghist": ("plane", None, _by_degree),
+    "deghist": ("plane", None, lambda c, r, n: {f"m_{j + 1}": m for j, m in enumerate(c) if m}),
 }
 
 WEIGHTINGS = tuple(_WEIGHTINGS)
@@ -182,13 +177,11 @@ def default_spec(weighting: str, maxdeg: int | None = None) -> FamilySpec:
 
 @lru_cache(maxsize=None)
 def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
-    """Weight-sum over the weighting's family.
+    """Weight-sum over the weighting's family, read off the family's one cached walk.
 
     andre        u^leaves v^(degree-1 vertices) over 0-1-2 nonplane on {0..n}
     forest-gamma t^(root leaf children) u^(other leaves) over forests on {0..n}
-    plane-leaf   x^leaves over 0-1-2 plane trees on [n]
-    chenfu-3     m_1^leaves m_2^(deg-1) m_3^(deg-2) over 0-1-2-3 plane on [n]
-    deghist      prod m_j^(vertices of degree j-1) over bounded plane on [n]
+    deghist      prod m_j^(vertices of degree j-1) over plane on [n], degree <= maxdeg
     """
     spec = default_spec(weighting, maxdeg)
     project = _WEIGHTINGS[weighting][2]

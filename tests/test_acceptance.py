@@ -119,7 +119,7 @@ def test_07_second_order_table_and_chenfu():
         xv, yv, zv = Poly.var("x"), Poly.var("y"), Poly.var("z")
         e1, e2, e3 = xv + yv + zv, xv * yv + yv * zv + zv * xv, xv * yv * zv
         for n in range(1, 7):
-            weights = trees.tree_weight_poly(n, "chenfu-3")
+            weights = trees.tree_weight_poly(n, "deghist", 3)
             gamma_kj = {}
             for mono, c in weights.items():
                 exps = dict(mono)

@@ -116,7 +116,7 @@ class TestVerify:
         reports = json.loads(out)
         assert [r["identity"] for r in reports] == list(IDENTITY_NAMES)
         guarded = [r["identity"] for r in reports if r["status"] == "guard"]
-        assert len(guarded) == err.count("size guard:") == len(IDENTITY_NAMES) - 2
+        assert len(guarded) == err.count("size guard:") == len(IDENTITY_NAMES) - 1
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_fraction_counterexample_is_serialized(self, capsys, monkeypatch, as_json):

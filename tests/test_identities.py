@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+from collections import Counter
 
 import pytest
 
@@ -148,7 +149,7 @@ def test_guard_precedes_every_sweep(walks, identity, max_n, message):
     assert walks == []
 
 
-@pytest.mark.parametrize("name", sorted(set(IDENTITY_NAMES) - {"transform-catalog", "mainthm-esym"}))
+@pytest.mark.parametrize("name", sorted(set(IDENTITY_NAMES) - {"transform-catalog"}))
 def test_every_check_guards_before_any_walk(walks, name):
     """Past every limit, each check with an n range reports GUARD and starts no walk."""
     assert verify(name, 2000).status == "guard"
@@ -156,11 +157,43 @@ def test_every_check_guards_before_any_walk(walks, name):
 
 
 def test_mainthm_esym_guards_every_k(walks):
-    """mainthm-esym checks n <= min(max_n, k + 2), so it meets the word limit at a large k."""
+    """mainthm-esym guards every k in range at max_n, so a large k alone meets the word limit."""
     report = verify("mainthm-esym", 10, 8)
     assert report.status == "guard"
     assert "|Q_10(8)|" in report.note
     assert walks == []
+
+
+def test_verify_all_walks_each_object_set_once(monkeypatch):
+    """At default ranges, from cold caches, S_n is swept once per n, Q_n(k) walked once
+    per (n, k) and each tree family once per n, whichever identities read them."""
+    for module in (permstats, stirlingperm, trees):
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    runs = Counter()
+
+    def count_runs(module, name):
+        """Record the arguments of each call of ``module.name`` that runs it: every call,
+        or every cache miss of a cached walk."""
+        walk = getattr(module, name)
+        info = getattr(walk, "cache_info", None)
+
+        def counted(*args):
+            misses = info().misses if info else 0
+            result = walk(*args)
+            if info is None or info().misses > misses:
+                runs[(module.__name__, *args)] += 1
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_runs(permstats, "_perm_table")
+    count_runs(stirlingperm, "_walk")
+    count_runs(trees, "_walk")
+    assert all(report.passed for report in identities.verify_all())
+    assert {key[0] for key in runs} == {"eulab.permstats", "eulab.stirlingperm", "eulab.trees"}
+    assert {key: c for key, c in runs.items() if c > 1} == {}
 
 
 def test_transform_catalog_checks_one_multiplicity():

@@ -6,7 +6,8 @@ argument reached by ``eulab verify all`` at default ranges and by the
 oracle-deep benchmark workload (plus the plane-leaf weights n <= 8), and of
 the ``repr`` of the full ``gen`` and ``trees_gen`` streams at a few sizes.  Those
 two streams now come from the reference walks in ``reference_walks.py``, the
-former package walks kept unchanged.
+former package walks kept unchanged.  The rows of the two weightings since
+folded into ``deghist`` are read off it (``PORTED``), with the digests as recorded.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 import reference_walks
 from eulab import stirlingperm, trees
+from eulab.exactalg import Poly
 
 DIGESTS = json.loads(Path(__file__).with_name("oracle_digests.json").read_text())
 
@@ -39,9 +41,20 @@ def test_kth_order_poly(args, digest):
     assert sha256(stirlingperm.kth_order_poly(*args).to_json()) == digest
 
 
+#: a removed weighting -> its polynomial at n, read off deghist
+PORTED = {
+    # m_1^leaves m_2^(degree-1) m_3^(degree-2) over 0-1-2-3 plane trees
+    "chenfu-3": lambda n: trees.tree_weight_poly(n, "deghist", 3),
+    # x^leaves over 0-1-2 plane trees: the m_1 column at maxdeg 2, renamed x
+    "plane-leaf": lambda n: trees.tree_weight_poly(n, "deghist", 2).subst({"m_1": Poly.var("x"), "m_2": 1, "m_3": 1}),
+}
+
+
 @rows("tree_weight_poly")
 def test_tree_weight_poly(args, digest):
-    assert sha256(trees.tree_weight_poly(*args).to_json()) == digest
+    n, weighting, maxdeg = args
+    poly = PORTED[weighting](n) if weighting in PORTED else trees.tree_weight_poly(n, weighting, maxdeg)
+    assert sha256(poly.to_json()) == digest
 
 
 @rows("gen")

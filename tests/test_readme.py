@@ -26,6 +26,10 @@ def test_table_names():
     assert sorted(listed) == sorted(cli._TABLES)
 
 
+def test_tree_weightings():
+    assert names(r"read by three weightings \((.*?)\)") == list(trees.WEIGHTINGS)
+
+
 def test_expand_bases():
     assert names(r"in one of the bases (.*?)\. ") == list(expand.BASES)
 

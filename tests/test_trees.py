@@ -104,8 +104,8 @@ class TestWeights:
         for n in range(1, 9):
             xa = x * perm_poly(n, "eulerian")
             expansion = gamma_expand(xa, "x", n + 1)
-            leaf_poly = tree_weight_poly(n, "plane-leaf")
-            got = {dict(m).get("x", 0): c for m, c in leaf_poly.items()}
+            # the leaf counts of 0-1-2 plane trees: the m_1 column of deghist at maxdeg 2
+            got = {i: c for (i,), c in tree_weight_poly(n, "deghist", 2).exponent_table(["m_1"]).items()}
             # gamma_(n,i-1) in x^i (1+x)^(n+1-2i) equals trees with i leaves
             want = {i: c for (i,), c in expansion.coeffs.items()}
             assert got == want, n
@@ -187,13 +187,13 @@ WALKED = list(dict.fromkeys([*map(default_spec, WEIGHTINGS), *(default_spec("deg
 class TestIncrementalWalk:
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_walk_key_matches_snapshot(self, weighting):
-        spec = default_spec(weighting)
-        for n in range(spec.root, 8):
-            seen = 0
-            for tree, (_, state) in zip(trees_gen(n, spec), tree_walk(n, spec)):
-                assert tuple(state) == key_from_snapshot(tree, n), tree
-                seen += 1
-            assert seen == tree_count(n, spec)
+        for spec in dict.fromkeys(default_spec(weighting, maxdeg) for maxdeg in (None, 2, 3)):
+            for n in range(spec.root, 8):
+                seen = 0
+                for tree, (_, state) in zip(trees_gen(n, spec), tree_walk(n, spec)):
+                    assert tuple(state) == key_from_snapshot(tree, n), tree
+                    seen += 1
+                assert seen == tree_count(n, spec)
 
     @pytest.mark.parametrize("spec", WALKED, ids=lambda s: f"{s.kind}-{s.maxdeg}")
     def test_counting_walk_matches_reference_walk(self, spec):
@@ -210,7 +210,7 @@ class TestIncrementalWalk:
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_weights_decode_the_reference_keys(self, weighting):
         project = trees_mod._WEIGHTINGS[weighting][2]
-        for maxdeg in (None, 2, 4):
+        for maxdeg in (None, 2, 3, 4):
             spec = default_spec(weighting, maxdeg)
             for n in range(spec.root, 8):
                 keys = Counter(tuple(state) for _, state in tree_walk(n, spec))
@@ -242,6 +242,7 @@ class TestIncrementalWalk:
         monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
         monkeypatch.setattr(trees_mod, "tree_count", spy)
         tree_weight_poly.cache_clear()
+        trees_mod._walk.cache_clear()  # a cached family is not walked, so not guarded, again
         with pytest.raises(SizeLimitError, match="more than 10$"):
             tree_weight_poly(5, "deghist")
         with pytest.raises(SizeLimitError, match="more than 10$"):
@@ -265,6 +266,7 @@ class TestIncrementalWalk:
             tree_weight_poly(1500, "deghist", 1)  # a path: one tree, deeper than the walk can recurse
         # with a smaller depth bound, a walk past it does not start
         monkeypatch.setattr(trees_mod, "MAX_DEPTH", 3)
+        trees_mod._walk.cache_clear()
         assert trees_mod._walk(3, FamilySpec("plane", None))
         with pytest.raises(SizeLimitError, match="n=4 exceeds"):
             trees_mod._walk(4, FamilySpec("plane", None))
@@ -293,6 +295,7 @@ class TestIncrementalWalk:
 
 def test_size_guard(monkeypatch):
     monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
+    trees_mod._walk.cache_clear()
     with pytest.raises(SizeLimitError):
         trees_mod._walk(5, FamilySpec("plane", None))
     with pytest.raises(SizeLimitError):
