@@ -1,18 +1,25 @@
 """Exhaustive permutation enumeration, statistics, and classical triangles.
 
 This is the ground-truth side of the engine: everything here is computed by
-direct counting over S_n (lexicographic order, guarded at n <= 10) or by the
-defining recurrence of a number triangle, never by the grammar or series
-routes it is used to check.
+direct counting over S_n (guarded at n <= 10) or by the defining recurrence
+of a number triangle, never by the grammar or series routes it is used to
+check.
 
 S_n is swept once per n.  ``_perm_table(n)`` checks the enumeration guard,
-then makes one pass that records the joint distribution of
+then makes one prefix walk that records the joint distribution of
 (des, suc, exc, fix, ddes, ipk, pi(1) > 1) together with the counts by
 succession set and by restricted fixed-point set.  Every weight polynomial
 (``perm_poly``), the set profiles (``diaconis_profile``) and the
 (asc, suc) counts (``asc_suc_counts``) are projections of that cached table.
-Each permutation goes through the lean kernel ``_row``; ``stats`` is the
-separate from-scratch reference the tests compare it with.
+
+The walk places the values left to right in lexicographic order and shares
+prefixes (Knuth, TAOCP 4A, 7.2.1.2), so each position's statistics are
+settled once per prefix, not once per permutation: placing b at position j
+settles the excedance or fixed point at j, the pair (j-1, j) and the triple
+centred at j-1.  The statistics ride along as one packed int key, 4 bits per
+field, and the two sets as bitmasks.  The last value is placed inline, and
+every permutation adds 1 to each of the three counts, so the route stays
+exhaustive.
 
 Descents/ascents use the boundary-free convention (indices in [n-1]); only
 double descents use the padded convention pi(0) = pi(n+1) = 0, and interior
@@ -22,10 +29,8 @@ exc + aexc + fix = n holds.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import OutOfRangeError, SizeLimitError
 from .exactalg import Poly
@@ -34,71 +39,6 @@ MAX_ENUM_N = 10
 MAX_TRIANGLE_N = 60
 
 TRIANGLES = ("stirling2", "eulerian", "second-order-eulerian", "surjection")
-
-
-@dataclass(frozen=True)
-class PermStats:
-    des: int
-    asc: int
-    exc: int
-    aexc: int
-    fix: int
-    suc: int
-    basc: int
-    ddes: int
-    ipk: int
-    suc_set: frozenset[int]
-    fix_set_restricted: frozenset[int]
-
-
-def stats(perm: Sequence[int]) -> PermStats:
-    """All statistics of a permutation given in one-line notation."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of [{n}]: {perm!r}")
-    des = asc = suc = basc = exc = aexc = fix = ddes = ipk = 0
-    suc_set: set[int] = set()
-    fix_restricted: set[int] = set()
-    for i in range(n - 1):
-        a, b = perm[i], perm[i + 1]
-        if a < b:
-            asc += 1
-            if b == a + 1:
-                suc += 1
-                suc_set.add(i + 1)
-            else:
-                basc += 1
-        else:
-            des += 1
-    for i, value in enumerate(perm, start=1):
-        if value > i:
-            exc += 1
-        elif value < i:
-            aexc += 1
-        else:
-            fix += 1
-            if i <= n - 1:
-                fix_restricted.add(i)
-    padded = (0, *perm, 0)
-    for i in range(1, n + 1):
-        if padded[i - 1] > padded[i] > padded[i + 1]:
-            ddes += 1
-    for i in range(2, n):
-        if perm[i - 2] < perm[i - 1] > perm[i]:
-            ipk += 1
-    return PermStats(
-        des=des,
-        asc=asc,
-        exc=exc,
-        aexc=aexc,
-        fix=fix,
-        suc=suc,
-        basc=basc,
-        ddes=ddes,
-        ipk=ipk,
-        suc_set=frozenset(suc_set),
-        fix_set_restricted=frozenset(fix_restricted),
-    )
 
 
 def guard(n: int) -> None:
@@ -122,43 +62,8 @@ class _Key(NamedTuple):
     first_gt_1: bool
 
 
-def _row(p: tuple[int, ...], n: int) -> tuple[tuple, int, int]:
-    """Joint-table key, succession mask and restricted fixed-point mask of p.
-
-    Bit i of the succession mask marks pi(i+1) = pi(i) + 1; bit i of the
-    fixed-point mask marks pi(i) = i for i <= n-1.  The hot kernel of the
-    sweep: p is trusted to be a permutation of [n] (see ``stats``).
-    """
-    exc = fix = fix_mask = 0
-    i = 0
-    for a in p:
-        i += 1
-        if a > i:
-            exc += 1
-        elif a == i:
-            fix += 1
-            fix_mask |= 1 << i
-    fix_mask &= ~(1 << n)
-    des = suc = ddes = ipk = suc_mask = 0
-    fell = rose = False  # was the previous adjacent pair a descent / an ascent
-    i = 0
-    for a, b in zip(p, p[1:]):
-        i += 1
-        if a > b:
-            des += 1
-            if fell:
-                ddes += 1
-            elif rose:
-                ipk += 1
-            fell, rose = True, False
-        else:
-            if b == a + 1:
-                suc += 1
-                suc_mask |= 1 << i
-            fell, rose = False, True
-    if fell:  # pi(n) > pi(n+1) = 0 completes a double descent at n
-        ddes += 1
-    return (des, suc, exc, fix, ddes, ipk, n > 0 and p[0] > 1), suc_mask, fix_mask
+#: units of the packed joint-table key, 4 bits per field in ``_Key`` order (n <= 10 < 16)
+_DES, _SUC, _EXC, _FIX, _DDES, _IPK, _FIRST_GT_1 = (1 << 4 * i for i in range(7))
 
 
 def _mask_set(mask: int) -> frozenset[int]:
@@ -166,25 +71,64 @@ def _mask_set(mask: int) -> frozenset[int]:
 
 
 class _PermTable(NamedTuple):
-    joint: dict[tuple, int]
+    joint: dict[_Key, int]
     by_suc: dict[frozenset[int], int]
     by_fix: dict[frozenset[int], int]
 
 
 @lru_cache(maxsize=None)
 def _perm_table(n: int) -> _PermTable:
-    """The one sweep of S_n: joint key counts and the two set profiles."""
+    """The one sweep of S_n: joint key counts and the two set profiles.
+
+    ``grow(j, rest, key, suc_mask, fix_mask, a, down)`` places each value b
+    of ``rest`` at position j after a = pi(j-1); ``down`` is what a descent
+    there adds to the key: des, and a double descent after a fall or an
+    interior peak after a rise.  Bit i of the succession mask marks
+    pi(i+1) = pi(i) + 1, and bit i of the fixed-point mask pi(i) = i for
+    i <= n-1.  At j = n-1 the last value is ``rest[1 - idx]``, placed inline.
+    """
     guard(n)
-    joint: dict[tuple, int] = {}
+    joint: dict[int, int] = {}
     by_suc: dict[int, int] = {}
     by_fix: dict[int, int] = {}
-    for p in itertools.permutations(range(1, n + 1)):
-        key, suc_mask, fix_mask = _row(p, n)
-        joint[key] = joint.get(key, 0) + 1
-        by_suc[suc_mask] = by_suc.get(suc_mask, 0) + 1
-        by_fix[fix_mask] = by_fix.get(fix_mask, 0) + 1
+    # b at j is an excedance (at j = 1 also pi(1) > 1) or a fixed point, with its mask bit if j < n
+    here = [[_EXC + (j == 1) * _FIRST_GT_1 if b > j else _FIX * (b == j) for b in range(n + 1)] for j in range(n + 1)]
+    fixed = [[(b == j < n) << j for b in range(n + 1)] for j in range(n + 1)]
+    last = n - 1
+
+    def grow(j: int, rest: list[int], key: int, suc_mask: int, fix_mask: int, a: int, down: int) -> None:
+        here_j, fixed_j, bit = here[j], fixed[j], 1 << j - 1
+        rise = _DES + _IPK if j > 1 else _DES  # pi(0) < pi(1) is no peak's rise
+        for idx, b in enumerate(rest):
+            k, s, f = key + here_j[b], suc_mask, fix_mask | fixed_j[b]
+            if a > b:
+                k, d = k + down, _DES + _DDES
+            else:
+                d = rise
+                if b == a + 1:
+                    k, s = k + _SUC, s | bit
+            if j < last:
+                grow(j + 1, rest[:idx] + rest[idx + 1 :], k, s, f, b, d)
+                continue
+            c = rest[1 - idx]
+            k += here[n][c]
+            if b > c:  # and pi(n) > pi(n+1) = 0 closes a double descent at n
+                k += d + _DDES
+            elif c == b + 1:
+                k, s = k + _SUC, s | 1 << last
+            joint[k] = joint.get(k, 0) + 1
+            by_suc[s] = by_suc.get(s, 0) + 1
+            by_fix[f] = by_fix.get(f, 0) + 1
+
+    if n > 1:  # a = -1 stands for pi(0) = 0: below every value, with no succession into pi(1)
+        grow(1, list(range(1, n + 1)), 0, 0, 0, -1, 0)
+    else:  # the empty permutation, or 1 with its fixed point at n
+        joint[_FIX * n] = by_suc[0] = by_fix[0] = 1
     return _PermTable(
-        joint,
+        {
+            _Key(k & 15, k >> 4 & 15, k >> 8 & 15, k >> 12 & 15, k >> 16 & 15, k >> 20 & 15, k >= _FIRST_GT_1): c
+            for k, c in joint.items()
+        },
         {_mask_set(m): c for m, c in by_suc.items()},
         {_mask_set(m): c for m, c in by_fix.items()},
     )
@@ -228,7 +172,7 @@ def perm_poly(n: int, family: str) -> Poly:
     joint = _perm_table(n).joint
     if n == 0:
         return Poly.one()
-    projected = ((project(n, _Key._make(key)), count) for key, count in joint.items())
+    projected = ((project(n, key), count) for key, count in joint.items())
     return Poly.from_exponents(pair for pair in projected if pair[0] is not None)
 
 
@@ -294,8 +238,7 @@ def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[
 def asc_suc_counts(n: int) -> dict[tuple[int, int], int]:
     """Joint distribution #{pi : asc = r, suc = s} by direct counting."""
     out: dict[tuple[int, int], int] = {}
-    for key, count in _perm_table(n).joint.items():
-        k = _Key._make(key)
+    for k, count in _perm_table(n).joint.items():
         pair = (_asc(n, k), k.suc)
         out[pair] = out.get(pair, 0) + count
     return out

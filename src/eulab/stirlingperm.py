@@ -19,27 +19,17 @@ between a and b replaces the pair (a, b) by (a, m), (m, m) k-1 times and
 (m, b): an ascent, the 1- to (k-1)-plateaux of m and a descent, while every
 other plateau keeps its index; so the key changes by one precomputed int per
 gap type and nothing is copied or rescanned.  Every word adds 1 to its key's
-count at the last block, so the route stays exhaustive.  ``stats`` recomputes
-a word from scratch and is the reference the walk is tested against.
+count at the last block, so the route stays exhaustive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeLimitError
 from .exactalg import MAX_EXPONENT, Poly
 
 PRODUCT_GUARD = 10**7
-
-
-@dataclass(frozen=True)
-class StirlingStats:
-    asc: int
-    des: int
-    plat: int
-    plat_j: tuple[int, ...]  # plat_j[j-1] = number of j-plateaux, j = 1..k-1
 
 
 def word_count(n: int, k: int, cap: int | None = None) -> int:
@@ -97,31 +87,6 @@ def _walk(n: int, k: int) -> dict[int, int]:
     else:
         counts[start] = 1
     return counts
-
-
-def stats(word: tuple[int, ...], k: int) -> StirlingStats:
-    """Ascent/descent/plateau counts with the padded-boundary convention."""
-    if len(word) % k:
-        raise ValueError(f"word length {len(word)} is not a multiple of k={k}")
-    length = len(word)
-    asc = des = plat = 0
-    plat_j = [0] * max(k - 1, 0)
-    seen: dict[int, int] = {}
-    prev = 0
-    for i in range(length):
-        cur = word[i]
-        if prev < cur:
-            asc += 1
-        elif prev > cur:
-            des += 1
-        else:
-            plat += 1
-            j = seen[cur]  # occurrences strictly before position i (1-based i)
-            plat_j[j - 1] += 1
-        seen[cur] = seen.get(cur, 0) + 1
-        prev = cur
-    des += 1  # final boundary: word[kn] > 0
-    return StirlingStats(asc=asc, des=des, plat=plat, plat_j=tuple(plat_j))
 
 
 @lru_cache(maxsize=None)

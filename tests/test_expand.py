@@ -26,9 +26,10 @@ from eulab.expand import (
     partial_gamma_expand,
 )
 from eulab.grammar import e_exponent_table, g10, stirling_vars
-from eulab.permstats import perm_poly, stats, triangle
+from eulab.permstats import perm_poly, triangle
 from eulab.series import egf_build
 from eulab.stirlingperm import kth_order_poly
+from reference_walks import perm_stats as stats
 
 x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
 

@@ -1,22 +1,24 @@
 import itertools
-import random
+import sys
 from math import comb, factorial
 
 import pytest
 
+from eulab import permstats
 from eulab.errors import OutOfRangeError, SizeLimitError
 from eulab.exactalg import Poly
 from eulab.permstats import (
     FAMILIES,
-    _row,
+    _perm_table,
     asc_suc_counts,
     diaconis_profile,
     perm_poly,
     second_order_poly_from_triangle,
-    stats,
     triangle,
 )
 from eulab.series import egf_build
+from reference_walks import perm_row, perm_sweep
+from reference_walks import perm_stats as stats
 from tuple_kernel import mono_from_exps
 
 x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
@@ -232,8 +234,8 @@ class TestProfilesAndJointCounts:
 
 
 def _row_as_stats(p, n):
-    """What ``_row`` computes, in the terms of ``stats``."""
-    key, suc_mask, fix_mask = _row(p, n)
+    """What ``perm_row`` computes, in the terms of ``stats``."""
+    key, suc_mask, fix_mask = perm_row(p, n)
     as_set = lambda mask: frozenset(i for i in range(n + 1) if mask >> i & 1)
     return key, as_set(suc_mask), as_set(fix_mask)
 
@@ -259,18 +261,16 @@ def _reference_weights(p, st):
 
 
 class TestOneSweepTable:
-    """The sweep kernel and every projection against ``stats``, the reference."""
+    """The prefix walk against the reference sweep, and every projection against ``stats``."""
 
-    def test_row_agrees_with_stats_exhaustively(self):
+    def test_walk_equals_reference_sweep(self):
+        # S_10 is left out: its reference sweep takes about 10 s
+        for n in range(10):
+            assert _perm_table(n) == perm_sweep(n), n
+
+    def test_reference_rows_agree_with_stats(self):
         for n in range(8):
             for p in itertools.permutations(range(1, n + 1)):
-                assert _row_as_stats(p, n) == _stats_as_row(p, n), p
-
-    def test_row_agrees_with_stats_on_a_sample(self):
-        rng = random.Random(0)
-        for n in (9, 10):
-            for _ in range(2000):
-                p = tuple(rng.sample(range(1, n + 1), n))
                 assert _row_as_stats(p, n) == _stats_as_row(p, n), p
 
     def test_projections_match_direct_counting(self):
@@ -301,12 +301,19 @@ class TestOneSweepTable:
         by_fix.clear()
         assert diaconis_profile(5) == expected
 
-    def test_guard_runs_before_any_enumeration(self, monkeypatch):
-        def no_sweep(*args):
-            raise AssertionError("enumeration started")
+    def test_guard_runs_before_any_enumeration(self):
+        def no_walk(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == permstats.__file__ and code.co_name == "grow":
+                raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(itertools, "permutations", no_sweep)
-        with pytest.raises(SizeLimitError):
-            perm_poly(11, "eulerian")
-        with pytest.raises(SizeLimitError):
-            diaconis_profile(12)
+        sys.setprofile(no_walk)
+        try:
+            with pytest.raises(SizeLimitError):
+                perm_poly(11, "eulerian")
+            with pytest.raises(SizeLimitError):
+                diaconis_profile(12)
+            with pytest.raises(AssertionError, match="enumeration started"):
+                _perm_table.__wrapped__(3)  # the watch sees a walk that starts
+        finally:
+            sys.setprofile(None)

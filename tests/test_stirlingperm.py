@@ -14,11 +14,11 @@ from eulab.stirlingperm import (
     _walk,
     guard,
     kth_order_poly,
-    stats,
     trivariate_second_order,
     word_count,
 )
 from reference_walks import gen, pack, word_walk
+from reference_walks import word_stats as stats
 
 x = Poly.var("x")
 

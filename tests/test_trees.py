@@ -157,6 +157,13 @@ class TestWeights:
         with pytest.raises(ValueError):
             default_spec("nope")
 
+    def test_forest_gamma_walks_one_family_whatever_maxdeg(self):
+        tree_weight_poly.cache_clear()
+        trees_mod._walk.cache_clear()
+        assert default_spec("forest-gamma", 3) == FamilySpec("forest012")
+        assert tree_weight_poly(6, "forest-gamma") == tree_weight_poly(6, "forest-gamma", 3)
+        assert trees_mod._walk.cache_info().misses == 1
+
 
 def key_from_snapshot(tree, n):
     """Degree histogram plus leaf children of the root, recomputed from the children."""
