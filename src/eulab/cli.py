@@ -207,6 +207,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", None) is not None and args.k < 1:
+            raise InvalidParamError(f"--k must be >= 1, got {args.k}")
         return args.fn(args)
     except UnknownIdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)

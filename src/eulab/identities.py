@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
-from .errors import OutOfRangeError, SizeLimitError, UnknownIdentityError
+from .errors import SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
 
@@ -194,27 +194,11 @@ def _roselle(max_n: int, k: int | None) -> Iterator[Case]:
                 yield n, counts.get((r, s), 0), rhs, {"r": r, "s": s}
 
 
-GAMMA_XY_POINTS = tuple(
-    (Fraction(x0), Fraction(y0))
-    for x0 in (0, 1, 2)
-    for y0 in (Fraction(1), Fraction(5, 2), Fraction(13, 8))
-)
-
-GAMMA_XY_NOTE = (
-    "closed form checked against the recurrence table at nine exact rational "
-    "points; the one-line PDE restatement of that recurrence is dimensionally "
-    "inconsistent as commonly stated, so no PDE route is implemented for it"
-)
-
-
 def _gamma_xy_closed_form(order: int, k: int | None) -> Iterator[Case]:
     table = expand.gamma_tables("gamma-n-xy-poly", order)
-    for x0, y0 in GAMMA_XY_POINTS:
-        series = egf_build("gamma-xy", order, {"x": x0, "y": y0})
-        point = {"x": str(x0), "y": str(y0)}
-        for n in range(order + 1):
-            lhs = series.egf_coefficient(n).constant_value()
-            yield n, lhs, table.values[n].evaluate({"x": x0, "y": y0}), point
+    series = egf_build("gamma-xy", order)
+    for n in range(order + 1):
+        yield n, series.egf_coefficient(n), table.values[n], {}
 
 
 def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
@@ -305,8 +289,7 @@ def _gamma_closed_values(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
-    if max_n > permstats.MAX_TRIANGLE_N:  # triangle's own guard, met before the first row is built
-        raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {permstats.MAX_TRIANGLE_N}")
+    permstats.triangle_guard(max_n)
     for n in range(2, max_n + 1):
         yield n, permstats.triangle("second-order-eulerian", n, 2), 2 ** (n + 1) - 2 * (n + 1), {}
 
@@ -348,7 +331,6 @@ class _Entry:
     min_n: int  # smallest n the check covers; a max_n below it is an empty range
     default_max_n: int
     uses_k: bool = False
-    note: str | None = None
 
 
 _REGISTRY: dict[str, _Entry] = {
@@ -363,7 +345,7 @@ _REGISTRY: dict[str, _Entry] = {
     "convolution": _Entry(_convolution, 0, 7),
     "diaconis": _Entry(_diaconis, 1, 7),
     "roselle": _Entry(_roselle, 2, 7),
-    "gamma-xy-closed-form": _Entry(_gamma_xy_closed_form, 0, 7, note=GAMMA_XY_NOTE),
+    "gamma-xy-closed-form": _Entry(_gamma_xy_closed_form, 0, 7),
     "second-order-grammar": _Entry(_second_order_grammar, 1, 6),
     "chenfu-esym": _Entry(_chenfu_esym, 1, 6),
     "kth-grammar": _Entry(_kth_grammar, 1, 5, uses_k=True),
@@ -408,7 +390,6 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
         status="pass" if counterexample is None else "fail",
         counterexample=counterexample,
         seconds=time.perf_counter() - start,
-        note=entry.note,
     )
 
 

@@ -202,12 +202,17 @@ def _triangle_row(name: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
 
 
+def triangle_guard(n: int, k: int = 0) -> None:
+    """Raise before any row is built when (n, k) lies outside the triangles."""
+    if not (0 <= k <= n <= MAX_TRIANGLE_N):
+        raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {MAX_TRIANGLE_N}")
+
+
 def triangle(name: str, n: int, k: int) -> int:
     """Exact triangle entry via the defining recurrence (memoized rows)."""
     if name not in TRIANGLES:
         raise ValueError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
-    if not (0 <= k <= n <= MAX_TRIANGLE_N):
-        raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {MAX_TRIANGLE_N}")
+    triangle_guard(n, k)
     return _triangle_row(name, n)[k]
 
 

@@ -11,17 +11,20 @@ A series is stored in divided-power (Hurwitz) form, as its numerators h_n = n! [
 products are binomial convolutions, e^{pz} has h_n = p^n and d/dz is a shift, so the
 symbolic EGFs are built from integer polynomials.  ``coeffs`` and ``coefficient(n)``
 still give the ordinary coefficients [z^n]; ``egf_coefficient(n)`` is h_n.
+
+The gamma-xy EGF takes optional x and y: each is an exact rational or, when left
+out, a symbol.  y enters only through q^2 = 2y-1, so no square root is taken and
+any rational y builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial
 from typing import Mapping, Sequence, Union
 
 from .errors import (
     InexactDivisionError,
-    InvalidParamError,
     NonInvertibleConstantTermError,
     NonzeroConstantTermError,
     SizeLimitError,
@@ -204,35 +207,6 @@ class Series:
         return Series._of([c.subst(sub) for c in self.h], self.order)
 
 
-def _alternating_powers(c: Rational, order: int, parity: int) -> Series:
-    """Numerators (-1)^(k//2) c^k at the k of the given parity, zero at the others."""
-    c = Fraction(c)
-    h = [Poly.const((-1) ** (k // 2) * c**k if k % 2 == parity else 0) for k in range(order + 1)]
-    return Series._of(h, order)
-
-
-def cos_series(c: Rational, order: int) -> Series:
-    """cos(c*z) truncated at the given order: numerators 1, 0, -c^2, 0, c^4, ..."""
-    return _alternating_powers(c, order, 0)
-
-
-def sin_series(c: Rational, order: int) -> Series:
-    """sin(c*z) truncated at the given order: numerators 0, c, 0, -c^3, 0, c^5, ..."""
-    return _alternating_powers(c, order, 1)
-
-
-def rational_sqrt(value: Rational) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None when irrational."""
-    f = Fraction(value)
-    if f < 0:
-        return None
-    num, den = f.numerator, f.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 EGF_NAMES = (
     "trivariate",
     "derangement",
@@ -258,8 +232,9 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
     bivariate      (y-x) e^{yz} / (y e^{xz}-x e^{yz})
     derangement    the fixpoint form specialized at y=1, s=0
     no-succession  (1-x) / (e^{xz} - x e^{z})
-    gamma-xy       e^{z(x-1)} (q sec(qz/2) / (q - tan(qz/2)))^2,  q = sqrt(2y-1),
-                   evaluated at exact rational parameters (y required, x optional)
+    gamma-xy       e^{z(x-1)} (q sec(qz/2) / (q - tan(qz/2)))^2,  q = sqrt(2y-1);
+                   ``params`` may fix x, y or both at exact rationals (any y, since
+                   only q^2 enters), and each one it leaves out stays a symbol
     """
     if order > MAX_SERIES_ORDER:
         raise SizeLimitError(f"series order guard: order={order} exceeds {MAX_SERIES_ORDER}")
@@ -277,17 +252,15 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
         den = Series.exp_zp(x, order) - Series.exp_zp(Poly.one(), order) * x
         return Series.const(1 - x, order).div(den)
     if name == "gamma-xy":
-        params = dict(params or {})
-        if "y" not in params:
-            raise InvalidParamError("gamma-xy needs an exact rational value for y")
-        y0 = Fraction(params["y"])
-        q = rational_sqrt(2 * y0 - 1)
-        if q is None:
-            raise InvalidParamError(f"2*y-1 = {2 * y0 - 1} is not the square of a rational")
-        # q sec / (q - tan) = q / (q cos - sin)
-        half = Fraction(q, 2)
-        base = Series.const(q, order).div(cos_series(half, order) * q - sin_series(half, order))
-        x_val: PolyLike = Fraction(params["x"]) if "x" in params else x
-        expo = Series.exp_zp(_as_poly(x_val) - 1, order)
-        return expo * base * base
+        # q sec(qz/2) / (q - tan(qz/2)) = 1 / D,  D = cos(qz/2) - sin(qz/2)/q, a series in
+        # c = q^2/4 = (2y-1)/4 with numerators (-c)^m at z^(2m) and -(-c)^m/2 at z^(2m+1)
+        params = params or {}
+        x_val, y_val = (Poly.const(Fraction(params[v])) if v in params else Poly.var(v) for v in "xy")
+        minus_c = (1 - 2 * y_val).scale(Fraction(1, 4))
+        powers = [Poly.one()]
+        for _ in range(order // 2):
+            powers.append(powers[-1] * minus_c)
+        den = [h for p in powers for h in (p, p.scale(Fraction(-1, 2)))]
+        base = Series.const(1, order).div(Series._of(den[: order + 1], order))
+        return Series.exp_zp(x_val - 1, order) * base * base
     raise ValueError(f"unknown EGF name {name!r}; expected one of {EGF_NAMES}")

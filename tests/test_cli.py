@@ -147,6 +147,28 @@ class TestVerify:
         assert out.count("PASS") == len(IDENTITY_NAMES)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--k", "0"],
+        ["verify", "kth-grammar", "--k", "-1"],
+        ["table", "kth-order", "--n", "3", "--k", "0"],
+    ],
+)
+def test_bad_k_is_rejected_before_any_work(capsys, monkeypatch, argv):
+    def work(*args):
+        raise AssertionError("work started before --k was checked")
+
+    from eulab import identities
+
+    monkeypatch.setattr(identities, "verify", work)
+    monkeypatch.setitem(_TABLES, "kth-order", work)
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: --k must be >= 1, got {argv[-1]}\n"
+
+
 class TestTable:
     def test_second_order_csv_row(self, capsys):
         code, out, _ = run(capsys, ["table", "second-order", "--n", "5", "--format", "csv"])

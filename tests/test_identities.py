@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from eulab import expand, identities, permstats, stirlingperm, trees
+from eulab.errors import OutOfRangeError
 from eulab.exactalg import Poly
 from eulab.identities import _REGISTRY, IDENTITY_NAMES, _first_mismatch, verify
 from eulab.series import Series
@@ -154,6 +155,36 @@ def test_every_check_guards_before_any_walk(walks, name):
     """Past every limit, each check with an n range reports GUARD and starts no walk."""
     assert verify(name, 2000).status == "guard"
     assert walks == []
+
+
+def test_cn2_guard_is_the_triangle_guard(walks):
+    with pytest.raises(OutOfRangeError) as exc:
+        permstats.triangle("second-order-eulerian", 2000, 2)
+    report = verify("cn2-closed-form", 2000)
+    assert (report.status, report.note) == ("guard", str(exc.value))
+    assert walks == []
+
+
+def test_gamma_xy_check_sees_a_planted_row_term(monkeypatch):
+    """x(x-1)(x-2) y^3 added to row 5 vanishes at x = 0, 1, 2, so a check at points
+    with those x values misses it; comparing whole polynomials does not."""
+    fill = expand._FILLS["gamma-n-xy-poly"]
+    x, y = Poly.var("x"), Poly.var("y")
+
+    def planted(n_max):
+        rows = fill(n_max)
+        if n_max >= 5:
+            rows[5] = rows[5] + x * (x - 1) * (x - 2) * y**3
+        return rows
+
+    monkeypatch.setitem(expand._FILLS, "gamma-n-xy-poly", planted)
+    expand.gamma_tables.cache_clear()
+    try:
+        report = verify("gamma-xy-closed-form")
+    finally:
+        expand.gamma_tables.cache_clear()
+    assert report.status == "fail"
+    assert report.counterexample["n"] == 5
 
 
 def test_mainthm_esym_guards_every_k(walks):

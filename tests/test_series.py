@@ -5,25 +5,17 @@ from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import coefficients, polys
 from eulab.errors import (
-    InvalidParamError,
     NonInvertibleConstantTermError,
     NonzeroConstantTermError,
     SizeLimitError,
 )
 from eulab.exactalg import Poly
-from eulab.series import (
-    EGF_NAMES,
-    MAX_SERIES_ORDER,
-    Series,
-    cos_series,
-    egf_build,
-    rational_sqrt,
-    sin_series,
-)
+from eulab.expand import MAX_TABLE_N, gamma_tables
+from eulab.series import EGF_NAMES, MAX_SERIES_ORDER, Series, egf_build
 
 x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
 
@@ -88,11 +80,10 @@ class TestArith:
         assert (a * b).order == 3
 
     def test_compose(self):
-        # cos(q z) == cos(z) composed with q*z
-        q = Fraction(3, 2)
-        inner = Series([Poly.zero(), Poly.const(q)], 8)
-        assert compose(cos_series(1, 8), inner) == cos_series(q, 8)
-        assert compose(sin_series(1, 8), inner) == sin_series(q, 8)
+        # e^{qz} == e^{z} composed with q*z, for a rational and a symbolic q
+        for q in (Fraction(3, 2), x):
+            inner = Series([Poly.zero(), q], 8)
+            assert compose(Series.exp_zp(1, 8), inner) == Series.exp_zp(q, 8)
 
     def test_diff_z(self):
         e = Series.exp_zp(x, 6)
@@ -120,12 +111,6 @@ class TestErrors:
     def test_compose_nonzero_constant(self):
         with pytest.raises(NonzeroConstantTermError):
             compose(Series.z(3), Series.const(1, 3))
-
-    def test_gamma_xy_requires_rational_square(self):
-        with pytest.raises(InvalidParamError):
-            egf_build("gamma-xy", 3, {"x": 1, "y": 2})  # 2y-1 = 3 is not a square
-        with pytest.raises(InvalidParamError):
-            egf_build("gamma-xy", 3, {"x": 1})
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -196,13 +181,10 @@ class TestAgainstNaiveLoops:
         assert a.exp() == naive_exp(a)
 
 
-SYMBOLIC_EGFS = ("trivariate", "fixpoint", "bivariate", "no-succession", "derangement")
-
-
 class TestDividedPowerForm:
     """A series keeps its numerators n! [z^n]; the symbolic EGFs never leave the integers."""
 
-    @pytest.mark.parametrize("name", SYMBOLIC_EGFS)
+    @pytest.mark.parametrize("name", EGF_NAMES)
     def test_symbolic_numerators_are_integer_polynomials(self, name):
         series = egf_build(name, 12)
         assert len(series.h) == 13
@@ -314,9 +296,24 @@ class TestEgfCatalog:
         assert g.egf_coefficient(1) == x
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(4) == 2
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(-1) is None
-    assert rational_sqrt(0) == 0
+#: the symbolic gamma-xy series at the order the point property compares
+GAMMA_XY_SYMBOLIC = egf_build("gamma-xy", 6)
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestGammaXy:
+    def test_symbolic_numerators_are_the_recurrence_rows(self):
+        g = egf_build("gamma-xy", MAX_TABLE_N)
+        rows = gamma_tables("gamma-n-xy-poly", MAX_TABLE_N).values
+        for n in range(MAX_TABLE_N + 1):
+            assert g.egf_coefficient(n) == rows[n], n
+
+    @given(small_rationals, small_rationals, st.sampled_from(["x", "y", "xy"]))
+    @example(Fraction(1, 2), Fraction(2), "xy")  # 2y-1 = 3 is not a rational square
+    @example(Fraction(-1), Fraction(0), "xy")  # 2y-1 < 0
+    @example(Fraction(2), Fraction(1, 3), "xy")
+    @example(Fraction(0), Fraction(1, 3), "y")
+    def test_point_build_specializes_the_symbolic_build(self, x0, y0, fixed):
+        point = {v: value for v, value in (("x", x0), ("y", y0)) if v in fixed}
+        assert egf_build("gamma-xy", 6, point) == GAMMA_XY_SYMBOLIC.specialize(point)
