@@ -111,6 +111,8 @@ _TABLES: dict[str, Callable[[int, int | None], "Poly | _IntegerTable"]] = {
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise InvalidParamError(f"--n must be >= 0, got {args.n}")
+    if args.k is not None and args.name != "kth-order":
+        raise InvalidParamError(f"table {args.name} takes no --k")
     table = _TABLES[args.name](args.n, args.k)
     if isinstance(table, Poly):
         if args.format == "csv":

@@ -457,10 +457,7 @@ class Poly:
 
     def to_json_obj(self) -> list[dict]:
         """Canonical JSON form: term list sorted leading-first by graded-lex."""
-        return [
-            {"exponents": dict(m), "coeff": _coeff_str(c)}
-            for m, c in self.sorted_terms()
-        ]
+        return [{"exponents": dict(m), "coeff": str(c)} for m, c in self.sorted_terms()]
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -511,18 +508,12 @@ class Poly:
         return [(_mono_text(m) or "1", c) for m, c in self.sorted_terms()]
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+        text = ""
         for m, c in self.sorted_terms():
-            text, a = _mono_text(m), abs(c)
-            body = str(a) if not text else text if a == 1 else f"{a}*{text}"
-            parts.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            body, a = _mono_text(m), abs(c)
+            body = str(a) if not body else body if a == 1 else f"{a}*{body}"
+            text += f" {'-' if c < 0 else '+'} {body}" if text else f"{'-' if c < 0 else ''}{body}"
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -539,10 +530,6 @@ def _coerce(value: Poly | Rational) -> Poly:
 def _mono_text(m: Mono) -> str:
     """"x^2*y" for x^2 y; the empty string for the constant monomial."""
     return "*".join(f"{v}^{e}" if e > 1 else v for v, e in m)
-
-
-def _coeff_str(c: Rational) -> str:
-    return str(c)
 
 
 def poly_sum(parts: Iterable[Poly]) -> Poly:

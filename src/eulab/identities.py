@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
-from .errors import SizeLimitError, UnknownIdentityError
+from .errors import InvalidParamError, SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
 
@@ -239,9 +239,8 @@ def _known_g10_forms(kk: int) -> dict[int, Poly]:
     e = lambda i: Poly.var(grammar.e_letter(i))
     forms = {}
     if kk >= 2:
-        forms[4] = e(kk) ** 3 * e(kk + 1) + 8 * e(kk - 1) * e(kk) * e(kk + 1) ** 2 + 6 * e(
-            kk - 2
-        ) * e(kk + 1) ** 3
+        forms[4] = e(kk) ** 3 * e(kk + 1) + 8 * e(kk - 1) * e(kk) * e(kk + 1) ** 2
+        forms[4] += 6 * e(kk - 2) * e(kk + 1) ** 3
     if kk >= 3:
         forms[5] = (
             e(kk) ** 4 * e(kk + 1)
@@ -263,9 +262,7 @@ def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
         for n, current in steps:
             if n in known:
                 yield n, current, known[n], {"k": kk, "route": "closed-form"}
-            expansion = expand.esym_expand(
-                stirlingperm.kth_order_poly(n, kk), grammar.stirling_vars(kk)
-            )
+            expansion = expand.esym_expand(stirlingperm.kth_order_poly(n, kk), grammar.stirling_vars(kk))
             yield n, expansion.is_positive(), True, {"k": kk, "route": "e-positivity"}
             yield n, expansion.coeffs, grammar.e_exponent_table(current, kk), {"k": kk}
 
@@ -368,10 +365,13 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     reported with status ``"empty"``, which does not count as passed.  A size
     guard hit during the check is reported with status ``"guard"`` and the
     guard's message as the note, so the rest of a catalog run can go on.
+    A ``k`` for an identity that takes none raises ``InvalidParamError``.
     """
     entry = _REGISTRY.get(name)
     if entry is None:
         raise UnknownIdentityError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
+    if k is not None and not entry.uses_k:
+        raise InvalidParamError(f"identity {name} takes no k")
     bound = entry.default_max_n if max_n is None else max_n
     params = {"max_n": bound}
     if entry.uses_k:
@@ -394,5 +394,5 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
 
 
 def verify_all(max_n: int | None = None, k: int | None = None) -> list[IdentityReport]:
-    """Run the whole catalog (deterministic name order)."""
-    return [verify(name, max_n, k) for name in IDENTITY_NAMES]
+    """Run the whole catalog (deterministic name order); ``k`` reaches the identities that take one."""
+    return [verify(name, max_n, k if _REGISTRY[name].uses_k else None) for name in IDENTITY_NAMES]

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import (
     InexactDivisionError,
+    InvalidParamError,
     NonInvertibleConstantTermError,
     NonzeroConstantTermError,
     SizeLimitError,
@@ -146,14 +147,10 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.h, other.h
-        out = [
-            poly_sum((a[i] * b[m - i]).scale(comb(m, i)) for i in range(m + 1))
-            for m in range(n + 1)
-        ]
+        out = [poly_sum((a[i] * b[m - i]).scale(comb(m, i)) for i in range(m + 1)) for m in range(n + 1)]
         return Series._of(out, n)
 
-    def __rmul__(self, other: PolyLike) -> Series:
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def div(self, other: Series) -> Series:
         """Quotient self / other, exact at every coefficient.
@@ -177,8 +174,7 @@ class Series:
             ) from exc
         return Series._of(out, n)
 
-    def __truediv__(self, other: Series) -> Series:
-        return self.div(other)
+    __truediv__ = div
 
     def exp(self) -> Series:
         """Exponential of a series with zero constant term."""
@@ -207,14 +203,7 @@ class Series:
         return Series._of([c.subst(sub) for c in self.h], self.order)
 
 
-EGF_NAMES = (
-    "trivariate",
-    "derangement",
-    "fixpoint",
-    "bivariate",
-    "no-succession",
-    "gamma-xy",
-)
+EGF_NAMES = ("trivariate", "derangement", "fixpoint", "bivariate", "no-succession", "gamma-xy")
 
 
 def _core_quotient(order: int) -> Series:
@@ -233,11 +222,16 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
     derangement    the fixpoint form specialized at y=1, s=0
     no-succession  (1-x) / (e^{xz} - x e^{z})
     gamma-xy       e^{z(x-1)} (q sec(qz/2) / (q - tan(qz/2)))^2,  q = sqrt(2y-1);
-                   ``params`` may fix x, y or both at exact rationals (any y, since
-                   only q^2 enters), and each one it leaves out stays a symbol
+                   ``params`` may fix x, y or both at an int or Fraction (any y, since
+                   only q^2 enters), and each one it leaves out stays a symbol; any
+                   other params raise ``InvalidParamError`` before any series work
     """
     if order > MAX_SERIES_ORDER:
         raise SizeLimitError(f"series order guard: order={order} exceeds {MAX_SERIES_ORDER}")
+    params = params or {}
+    for key, value in params.items():
+        if name != "gamma-xy" or key not in ("x", "y") or type(value) not in (int, Fraction):
+            raise InvalidParamError(f"EGF {name!r} takes no {key}={value!r}; gamma-xy takes int or Fraction x, y")
     x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
     if name == "trivariate":
         q = _core_quotient(order)
@@ -254,8 +248,7 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
     if name == "gamma-xy":
         # q sec(qz/2) / (q - tan(qz/2)) = 1 / D,  D = cos(qz/2) - sin(qz/2)/q, a series in
         # c = q^2/4 = (2y-1)/4 with numerators (-c)^m at z^(2m) and -(-c)^m/2 at z^(2m+1)
-        params = params or {}
-        x_val, y_val = (Poly.const(Fraction(params[v])) if v in params else Poly.var(v) for v in "xy")
+        x_val, y_val = (Poly.const(params[v]) if v in params else Poly.var(v) for v in "xy")
         minus_c = (1 - 2 * y_val).scale(Fraction(1, 4))
         powers = [Poly.one()]
         for _ in range(order // 2):

@@ -103,6 +103,4 @@ def kth_order_poly(n: int, k: int) -> Poly:
 
 def trivariate_second_order(n: int) -> Poly:
     """C_n(x,y,z): the k = 2 polynomial renamed x_1 -> z, x_2 -> y, x_3 -> x."""
-    return kth_order_poly(n, 2).subst(
-        {"x_1": Poly.var("z"), "x_2": Poly.var("y"), "x_3": Poly.var("x")}
-    )
+    return kth_order_poly(n, 2).subst({"x_1": Poly.var("z"), "x_2": Poly.var("y"), "x_3": Poly.var("x")})

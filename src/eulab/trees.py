@@ -13,15 +13,14 @@ Three kinds of family are supported (``FamilySpec.attach`` holds the rules):
   most delicate correctness point of the module.
 
 The weight sums come from one counting walk by leaf insertion (Janson--Kuba--
-Panholzer, JCTA 2011).  It builds no tree: it keeps each vertex's degree,
-parent and bound, and the tree's statistics as one packed int key, 16 bits
-per field (the degree histogram, then the leaf children of the root), as
-``exactalg`` packs exponents (Monagan--Pearce, CASC 2007).  An attachment
-adds a precomputed int to the key, and every tree adds 1 to its key's count
-at the last label, so the route stays exhaustive.  The walk is cached: each
-family is walked once per n, as S_n is swept once, for every weighting and
-call shape.  ``guard`` refuses an n past the walk's depth bound, then counts
-the family over degree states (``tree_count``) until past the 10^7 limit.
+Panholzer, JCTA 2011).  It builds no tree: it keeps the open vertices, those
+below their degree bound, as a list of states, and the tree's statistics as
+one packed int key, 16 bits per field, as ``exactalg`` packs exponents
+(Monagan--Pearce, CASC 2007).  An attachment adds a precomputed int to the
+key, and every tree adds 1 to its key's count, so the route stays exhaustive.
+The walk is cached: each family is walked once per n for every weighting.
+``guard`` refuses an n past the walk's depth bound, then counts the family
+over multisets of the same states (``tree_count``) until past the 10^7 limit.
 """
 
 from __future__ import annotations
@@ -69,31 +68,48 @@ class FamilySpec:
         return bound, range(0 if self.kind == "plane" else d, d + 1)
 
 
+def _states(n: int, spec: FamilySpec) -> list[tuple[int, tuple[int, ...], int]]:
+    """What attaching a child below an open vertex does, by the vertex's state.
+
+    State (n+1) r + d is a vertex of degree d that is the root (r = 0), a child
+    of the root (r = 1) or another vertex (r = 2), which fixes its bound; the
+    root starts in state 0.  An entry holds the key step, the open states that
+    replace the parent (itself a degree up below its bound, the new leaf below
+    a positive one) and the number of positions, none at the bound.
+    """
+    root_leaf = 1 << 16 * (n - spec.root + 1)
+    bounds = [min(b, n + 1) for b in (spec.root_bound(n), spec.attach(n, True, 0)[0], spec.attach(n, False, 0)[0])]
+    table = []
+    for r, bound in enumerate(bounds):
+        leaf = 2 if r else 1
+        for d in range(n + 1):
+            step = (1 << 16 * (d + 1)) - (1 << 16 * d) + 1 + ((r == 0) - (r == 1 and d == 0)) * root_leaf
+            grown = ((r * (n + 1) + d + 1,) if d + 1 < bound else ()) + ((leaf * (n + 1),) if bounds[leaf] else ())
+            table.append((step, grown, len(spec.attach(n, r == 0, d)[1]) if d < bound else 0))
+    return table
+
+
 def tree_count(n: int, spec: FamilySpec, cap: int | None = None) -> int:
     """Number of trees of the family on its vertex set, without building one.
 
-    The ways the next label can attach depend only on the multiset of
-    (degree, bound, is root) over the vertices that may still take a child,
-    so the count runs over these states instead of over trees.  After the
-    first step the total never falls (the newest leaf always has a free slot
-    when any bound is positive), so it is returned once it exceeds ``cap``.
+    The ways the next label can attach depend only on the multiset of the open
+    vertices' ``_states``, so the count runs over these multisets, not trees.
+    After the first step the total never falls (the newest leaf always has a
+    free slot when any bound is positive), so it is returned once past ``cap``.
     """
-    root = spec.root
-    if n < root:
+    if n < spec.root:
         raise ValueError("empty vertex set")
-    top = spec.root_bound(n)
-    states = Counter({((0, top, True),) if top > 0 else (): 1})
-    for _ in range(root + 1, n + 1):
-        grown: Counter = Counter()
+    table = _states(n, spec)
+    states = Counter({(0,): 1})
+    for _ in range(spec.root + 1, n + 1):
+        after: Counter = Counter()
         for state, ways in states.items():
-            for i, (d, bound, is_root) in enumerate(state):
-                child, positions = spec.attach(n, is_root, d)
-                nxt = list(state)
-                nxt[i : i + 1] = [(d + 1, bound, is_root)] if d + 1 < bound else []
-                if child > 0:
-                    nxt.append((0, child, False))
-                grown[tuple(sorted(nxt))] += ways * len(positions)
-        states = grown
+            for s in set(state):
+                _, grown, positions = table[s]
+                nxt = [*state, *grown]
+                nxt.remove(s)
+                after[tuple(sorted(nxt))] += ways * state.count(s) * positions
+        states = after
         if cap is not None and sum(states.values()) > cap:
             break
     return sum(states.values())
@@ -118,40 +134,44 @@ def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
 
     Field j of a key (bits 16j and up) counts the vertices of degree j, and
     the last field, ``root_leaf``, the leaf children of the root.  Attaching
-    m below v of degree d moves v to degree d+1 and adds the leaf m; only the
-    root and its leaf children move the last field.  The walk keeps degrees,
-    parents and bounds, not the trees.  Every tree adds 1 to its key's count
-    at the last label, a plane vertex's d+1 gaps one tree each.
+    a child replaces the parent's state in ``opened`` by those that grow from
+    it, and backtracking puts it back.  The last two labels are placed inline:
+    the choices of label n-1 below vertices in one state share one list of
+    label n's steps, a plane vertex's gaps one step each, and every tree adds
+    1 to its key's count as one element of that list.
     """
     guard(n, spec)
-    root = spec.root
-    degree, parent, bound = [0] * (n + 1), [-1] * (n + 1), [spec.root_bound(n)] * (n + 1)
-    rules = [[spec.attach(n, at_root, d) for d in range(n + 1)] for at_root in (False, True)]
-    root_leaf = 1 << 16 * (n - root + 1)
-    step = [(1 << 16 * (d + 1)) - (1 << 16 * d) + 1 for d in range(n - root)]
-    counts: dict[int, int] = {}
+    table = _states(n, spec)
+    last = [[step] * positions for step, _, positions in table]
+    gained = [[t for g in grown for t in last[g]] for _, grown, _ in table]
+    opened = [0]  # a root with bound 0 offers no position
+    counts: Counter = Counter()
 
-    def grow(m: int, key: int) -> None:
-        for v in range(root, m):
-            d = degree[v]
-            if d >= bound[v]:
-                continue
-            at_root = v == root
-            nxt = key + step[d] + (at_root - (d == 0 and parent[v] == root)) * root_leaf
-            child, positions = rules[at_root][d]
-            if m == n:
-                for _ in positions:
-                    counts[nxt] = counts.get(nxt, 0) + 1
-                continue
-            degree[v], parent[m], bound[m] = d + 1, v, child
-            for _ in positions:
-                grow(m + 1, nxt)
-            degree[v] = d
+    def grow(m: int, key: int) -> None:  # labels m..n
+        if m == n - 1:
+            return last_two(key)
+        for i, s in enumerate(opened):
+            step, grown, positions = table[s]
+            opened[i : i + 1] = grown
+            for _ in range(positions):
+                grow(m + 1, key + step)
+            opened[i : i + len(grown)] = (s,)
 
-    if n > root:
-        grow(root + 1, 1)
-    else:
-        counts[1] = 1
+    def last_two(key: int) -> None:
+        steps = [t for s in opened for t in last[s]]
+        keys: list[int] = []
+        for s in dict.fromkeys(opened):
+            step, _, positions = table[s]
+            tail = steps + gained[s]
+            for _ in range(positions):  # the parent's old steps go; equal steps are interchangeable
+                tail.remove(step)
+            keys += [*map((key + step).__add__, tail)] * (opened.count(s) * positions)
+        counts.update(keys)
+
+    if n > spec.root + 1:
+        grow(spec.root + 1, 1)
+    else:  # the root alone, or one label below it
+        counts.update(map((1).__add__, last[0]) if n > spec.root else [1])
     return counts
 
 

@@ -169,6 +169,44 @@ def test_bad_k_is_rejected_before_any_work(capsys, monkeypatch, argv):
     assert err == f"error: --k must be >= 1, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "frobenius", "--k", "3", "--json"], "identity frobenius takes no k"),
+        (["verify", "andre", "--max-n", "4", "--k", "2"], "identity andre takes no k"),
+        (["table", "andre", "--n", "3", "--k", "5"], "table andre takes no --k"),
+        (["table", "eulerian", "--n", "3", "--k", "1", "--format", "csv"], "table eulerian takes no --k"),
+    ],
+)
+def test_k_is_refused_where_nothing_reads_it(capsys, monkeypatch, argv, message):
+    def work(*args):
+        raise AssertionError("work started before --k was refused")
+
+    from eulab import identities
+
+    for name in ("frobenius", "andre"):
+        entry = identities._REGISTRY[name]
+        monkeypatch.setitem(identities._REGISTRY, name, identities._Entry(work, entry.min_n, entry.default_max_n))
+    for name in ("andre", "eulerian"):
+        monkeypatch.setitem(_TABLES, name, work)
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_all_passes_k_only_to_the_identities_that_take_it(capsys):
+    from eulab.identities import IDENTITY_NAMES
+
+    code, out, _ = run(capsys, ["verify", "all", "--max-n", "3", "--k", "2", "--json"])
+    assert code == 0
+    params = {r["identity"]: r["params"] for r in json.loads(out)}
+    assert sorted(params) == sorted(IDENTITY_NAMES)
+    with_k = {name for name, p in params.items() if "k" in p}
+    assert with_k == {"kth-grammar", "mainthm-esym", "transform-catalog"}
+    assert all(params[name]["k"] == 2 for name in with_k)
+
+
 class TestTable:
     def test_second_order_csv_row(self, capsys):
         code, out, _ = run(capsys, ["table", "second-order", "--n", "5", "--format", "csv"])

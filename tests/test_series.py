@@ -9,6 +9,7 @@ from hypothesis import example, given
 
 from conftest import coefficients, polys
 from eulab.errors import (
+    InvalidParamError,
     NonInvertibleConstantTermError,
     NonzeroConstantTermError,
     SizeLimitError,
@@ -214,6 +215,34 @@ class TestOrderGuard:
         assert MAX_SERIES_ORDER >= 30
         values = egf_build("gamma-xy", 30, {"x": 1, "y": 1}).egf_coefficient(6)
         assert values.constant_value() == 272
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("gamma-xy", {"x": 0.1, "y": 1}),  # a float is not exact
+            ("gamma-xy", {"x": 1, "y": 0.5}),
+            ("gamma-xy", {"Y": 1}),  # a misspelled y
+            ("gamma-xy", {"x": 1, "y": 1, "z": 2}),
+            ("gamma-xy", {"x": True}),  # a bool is not a number here
+            ("gamma-xy", {"y": "1/2"}),
+            *((name, {"x": 1}) for name in EGF_NAMES if name != "gamma-xy"),
+            ("trivariate", {"s": Fraction(1, 2)}),
+        ],
+    )
+    def test_bad_params_raise_before_any_work(self, monkeypatch, name, params):
+        def work(*args):
+            raise AssertionError("series built before the params were checked")
+
+        monkeypatch.setattr(Series, "exp_zp", work)
+        monkeypatch.setattr(Series, "div", work)
+        with pytest.raises(InvalidParamError, match=f"EGF '{name}' takes no"):
+            egf_build(name, 3, params)
+
+    @pytest.mark.parametrize("name", EGF_NAMES)
+    def test_no_params_and_empty_params_agree(self, name):
+        assert egf_build(name, 4, {}) == egf_build(name, 4) == egf_build(name, 4, None)
 
 
 class TestRandomizedLaws:

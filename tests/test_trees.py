@@ -300,6 +300,53 @@ class TestIncrementalWalk:
         assert tree_count(9, FamilySpec("plane", None), cap=10**7) == 2027025
 
 
+#: the families and depths the oracle-deep benchmark walks, past the range of the tests above
+DEEP_WALKS = [
+    (FamilySpec("nonplane", 2), 9),
+    (FamilySpec("nonplane", 2), 10),
+    (FamilySpec("forest012"), 9),
+    (FamilySpec("plane", None), 8),
+]
+
+
+class TestOpenVertexWalk:
+    @pytest.mark.parametrize("spec, n", DEEP_WALKS, ids=[f"{s.kind}-{s.maxdeg}-{n}" for s, n in DEEP_WALKS])
+    def test_deep_walk_matches_reference_walk(self, spec, n):
+        want = Counter(pack(state) for _, state in tree_walk(n, spec))
+        assert trees_mod._walk(n, spec) == want
+
+    def test_small_families_by_hand(self):
+        walk = trees_mod._walk
+        assert walk(0, FamilySpec("nonplane", 2)) == {1: 1}  # the root alone
+        assert walk(1, FamilySpec("nonplane", 2)) == {pack((1, 1, 1)): 1}  # one leaf child of the root
+        # a root bound of 0 leaves only the lone root
+        assert walk(0, FamilySpec("nonplane", 0)) == {1: 1}
+        assert walk(1, FamilySpec("nonplane", 0)) == {} and tree_count(1, FamilySpec("nonplane", 0)) == 0
+        assert walk(1, FamilySpec("plane", 0)) == {1: 1}
+        assert walk(3, FamilySpec("plane", 0)) == {} and tree_count(3, FamilySpec("plane", 0)) == 0
+        # plane maxdeg 1: one path on [n], with one leaf and n - 1 vertices of degree 1
+        for n in range(1, 8):
+            assert walk(n, FamilySpec("plane", 1)) == {pack((1, n - 1) + (0,) * (n - 2) + (int(n == 2),)): 1}, n
+        # a plane vertex of degree d offers d + 1 gaps: the two orders of the star on [3], and its chain
+        assert walk(3, FamilySpec("plane", None)) == {pack((2, 0, 1, 2)): 2, pack((1, 2, 0, 0)): 1}
+        assert walk(4, FamilySpec("plane", None))[pack((3, 0, 0, 1, 3))] == 6  # 3! orders of the 3-star
+
+    def test_saturated_vertices_are_not_visited(self, monkeypatch):
+        # no attachment below a vertex at its bound: every state the walk reads offers a position
+        table = trees_mod._states(10, FamilySpec("nonplane", 2))
+        read = []
+
+        class Spy(list):
+            def __getitem__(self, s):
+                read.append(s)
+                return list.__getitem__(self, s)
+
+        monkeypatch.setattr(trees_mod, "_states", lambda n, spec: Spy(table))
+        trees_mod._walk.cache_clear()
+        trees_mod._walk(10, FamilySpec("nonplane", 2))
+        assert read and all(table[s][2] for s in read)
+
+
 def test_size_guard(monkeypatch):
     monkeypatch.setattr(trees_mod, "TREE_GUARD", 10)
     trees_mod._walk.cache_clear()
