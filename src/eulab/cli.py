@@ -72,7 +72,7 @@ _IntegerTable = tuple[tuple[str, ...], list[tuple]]  # (header, rows), the value
 
 def _triangle_table(triangle: str) -> Callable[[int, int | None], _IntegerTable]:
     def rows(n: int, k: int | None) -> _IntegerTable:
-        cells = ((m, j, permstats.triangle(triangle, m, j)) for m in range(n + 1) for j in range(m + 1))
+        cells = ((m, j, expand_mod.triangle(triangle, m, j)) for m in range(n + 1) for j in range(m + 1))
         return ("n", "k", "value"), [row for row in cells if row[2]]
 
     return rows

@@ -1,4 +1,4 @@
-"""Basis-expansion solvers and the gamma coefficient tables.
+"""Basis-expansion solvers and the recurrence and gamma coefficient tables.
 
 Each solver peels coefficients: it reads one basis coefficient and subtracts that
 element's coefficients from a dense list or (esym) a table of partitions, so no basis
@@ -12,9 +12,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from math import comb, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
+    EngineError,
     NotExpandableError,
     NotPalindromicError,
     NotSymmetricError,
@@ -201,8 +202,77 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
 
 
 # ---------------------------------------------------------------------------
-# Gamma tables
+# Recurrence tables: number triangles and gamma tables
 # ---------------------------------------------------------------------------
+
+MAX_TRIANGLE_N = 60
+
+TRIANGLES = ("stirling2", "eulerian", "second-order-eulerian", "surjection")
+
+
+def _above(prev: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int]]:
+    """(k, T(n-1, k), T(n-1, k-1)) for k = 0..n, with zeros outside row n - 1."""
+    p = prev + (0,)  # p[n] and p[-1] are the zeros beside row n - 1
+    return ((k, p[k], p[k - 1]) for k in range(n + 1))
+
+
+def _gamma_nij_rule(prev: dict[tuple[int, int], int], n: int) -> dict[tuple[int, int], int]:
+    row = {}
+    for i in range(n + 1):
+        for j in range((n - i) // 2 + 1):
+            val = (
+                prev.get((i - 1, j), 0)
+                + (1 + i) * prev.get((i + 1, j - 1), 0)
+                + j * prev.get((i, j), 0)
+                + (n - i - 2 * j + 1) * prev.get((i, j - 1), 0)
+            )
+            if val:
+                row[(i, j)] = val
+    return row
+
+
+def _gamma_xy_rule(g: Poly, n: int) -> Poly:
+    x, y = Poly.var("x"), Poly.var("y")
+    return (x + (n - 1) * y) * g + y * (1 - x) * g.diff("x") + y * (1 - 2 * y) * g.diff("y")
+
+
+#: kind -> (row 0, the rule that builds row n from row n - 1 and n)
+_RULES: dict[str, tuple[object, Callable]] = {
+    "stirling2": ((1,), lambda prev, n: tuple(k * t + s for k, t, s in _above(prev, n))),
+    "surjection": ((1,), lambda prev, n: tuple(k * (t + s) for k, t, s in _above(prev, n))),  # E(n, k) = k! S(n, k)
+    "eulerian": ((1,), lambda prev, n: tuple((k + 1) * t + (n - k) * s for k, t, s in _above(prev, n))),
+    "second-order-eulerian": ((1,), lambda prev, n: tuple(k * t + (2 * n - k) * s for k, t, s in _above(prev, n))),
+    "gamma-nij": ({(0, 0): 1}, _gamma_nij_rule),
+    "gamma-n-xy-poly": (Poly.one(), _gamma_xy_rule),
+}
+
+
+@lru_cache(maxsize=None)
+def _row(kind: str, n: int):
+    """Row n of the recurrence table ``kind``; each row is built once per process."""
+    row0, rule = _RULES[kind]
+    return row0 if n == 0 else rule(_row(kind, n - 1), n)
+
+
+def triangle_guard(n: int, k: int = 0) -> None:
+    """Raise before any row is built when (n, k) lies outside the triangles."""
+    if not (0 <= k <= n <= MAX_TRIANGLE_N):
+        raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {MAX_TRIANGLE_N}")
+
+
+def triangle(name: str, n: int, k: int) -> int:
+    """Exact triangle entry via the defining recurrence."""
+    if name not in TRIANGLES:
+        raise ValueError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
+    triangle_guard(n, k)
+    return _row(name, n)[k]
+
+
+def second_order_poly_from_triangle(n: int) -> Poly:
+    """C_n(x) assembled from the second-order Eulerian triangle."""
+    if n == 0:
+        return Poly.one()
+    return Poly.from_exponents(({"x": j}, triangle("second-order-eulerian", n, j)) for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -218,82 +288,52 @@ class GammaTable:
     values: tuple
 
 
-@lru_cache(maxsize=None)
+TABLE_KINDS = ("gamma-nij", "gamma-n-histogram", "gamma-n-xy-poly")
+
+
 def gamma_tables(kind: str, n_max: int) -> GammaTable:
     """Rows 0..n_max of the table ``kind``; refused past ``MAX_TABLE_N``."""
-    if kind not in _FILLS:
+    if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if not 0 <= n_max <= MAX_TABLE_N:
         raise OutOfRangeError(f"table guard: need 0 <= n_max <= {MAX_TABLE_N}")
-    return GammaTable(tuple(_FILLS[kind](n_max)))
+    if kind == "gamma-n-histogram":
+        return GammaTable(_histogram_rows()[: n_max + 1])
+    return GammaTable(tuple(_row(kind, n) for n in range(n_max + 1)))
 
 
-def _fill_gamma_nij(n_max: int) -> list[dict[tuple[int, int], int]]:
-    rows = [{(0, 0): 1}]
-    for n in range(n_max):
-        prev, row = rows[n], {}
-        for i in range(n + 2):
-            for j in range((n + 1 - i) // 2 + 1):
-                val = (
-                    prev.get((i - 1, j), 0)
-                    + (1 + i) * prev.get((i + 1, j - 1), 0)
-                    + j * prev.get((i, j), 0)
-                    + (n - i - 2 * j + 2) * prev.get((i, j - 1), 0)
-                )
-                if val:
-                    row[(i, j)] = val
-        rows.append(row)
-    return rows
+@lru_cache(maxsize=None)
+def _histogram_rows() -> tuple[dict[tuple[int, ...], int], ...]:
+    """Rows gamma(n; i_1..i_n) for n <= MAX_TABLE_N, read off one G10 iteration.
 
-
-def _fill_histogram(n_max: int) -> list[dict[tuple[int, ...], int]]:
-    """Rows gamma(n; i_1..i_n) for n <= n_max, read off G10 iteration.
-
-    Iterating with k = n_max - 1 keeps every e-index in range (the smallest
+    Iterating with k = MAX_TABLE_N - 1 keeps every e-index in range (the smallest
     index reached in row n is k - n + 2 >= 1).  The entries do not depend on k
-    once k >= n - 2, but i_n, the exponent of e_{k-n+2}, is read only at k >= n - 1.
+    once k >= n - 2, but i_n, the exponent of e_{k-n+2}, is read only at k >= n - 1,
+    so every table is a prefix of these rows.
     """
     rows: list[dict[tuple[int, ...], int]] = [{}]
-    k = max(n_max - 1, 1)
-    for n, p in islice(enumerate(g10(k).iterates(Poly.var("x_1"))), 1, n_max + 1):
+    k = MAX_TABLE_N - 1
+    for n, p in islice(enumerate(g10(k).iterates(Poly.var("x_1"))), 1, MAX_TABLE_N + 1):
         row = {}
         for exps, coeff in e_exponent_table(p, k).items():
             # exponent of e_{k-j+2} is i_j;  exps is indexed by e_1..e_{k+1}
             hist = tuple(exps[k - j + 1] for j in range(1, n + 1))
+            _check_histogram_entry(n, hist, coeff)
             row[hist] = int(coeff)
-            _assert_histogram_row(n, hist, coeff)
         rows.append(row)
-    return rows
+    return tuple(rows)
 
 
-def _assert_histogram_row(n: int, hist: tuple[int, ...], coeff: Rational) -> None:
+def _check_histogram_entry(n: int, hist: tuple[int, ...], coeff: Rational) -> None:
+    """Raise ``EngineError`` unless gamma(n; hist) = coeff has the shape the theorem gives."""
     if coeff != int(coeff) or coeff <= 0:
-        raise AssertionError(f"histogram entry gamma({n};{hist}) = {coeff} is not a positive int")
+        raise EngineError(f"histogram entry gamma({n};{hist}) = {coeff} is not a positive int")
     if sum(hist) != n:
-        raise AssertionError(f"histogram row gamma({n};{hist}) does not sum to {n}")
+        raise EngineError(f"histogram row gamma({n};{hist}) does not sum to {n}")
     if n >= 2:
         if not 1 <= hist[0] <= n - 1:
-            raise AssertionError(f"gamma({n};{hist}): i_1 out of range")
+            raise EngineError(f"gamma({n};{hist}): i_1 out of range")
         if hist[-1] not in (0, 1):
-            raise AssertionError(f"gamma({n};{hist}): i_n must be 0 or 1")
+            raise EngineError(f"gamma({n};{hist}): i_n must be 0 or 1")
         if hist[-1] == 1 and hist[0] != n - 1:
-            raise AssertionError(f"gamma({n};{hist}): i_n = 1 forces i_1 = n - 1")
-
-
-def _fill_gamma_xy(n_max: int) -> list[Poly]:
-    x, y = Poly.var("x"), Poly.var("y")
-    rows = [Poly.one()]
-    for n in range(n_max):
-        g = rows[n]
-        rows.append((x + n * y) * g + y * (1 - x) * g.diff("x") + y * (1 - 2 * y) * g.diff("y"))
-    return rows
-
-
-#: table kind -> the rows 0..n_max of that table
-_FILLS: dict[str, Callable[[int], list]] = {
-    "gamma-nij": _fill_gamma_nij,
-    "gamma-n-histogram": _fill_histogram,
-    "gamma-n-xy-poly": _fill_gamma_xy,
-}
-
-TABLE_KINDS = tuple(_FILLS)
+            raise EngineError(f"gamma({n};{hist}): i_n = 1 forces i_1 = n - 1")

@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
-from .errors import InvalidParamError, SizeLimitError, UnknownIdentityError
+from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, poly_sum
 from .series import Series, egf_build
 
@@ -101,7 +101,7 @@ def _frobenius(max_n: int, k: int | None) -> Iterator[Case]:
     x = Poly.var("x")
     for n in range(1, max_n + 1):
         lhs = x * permstats.perm_poly(n, "eulerian")
-        surjections = {(m,): permstats.triangle("surjection", n, m) for m in range(1, n + 1)}
+        surjections = {(m,): expand.triangle("surjection", n, m) for m in range(1, n + 1)}
         rhs = expand.Expansion("frobenius", surjections, n=n, var="x").reconstruct()
         yield n, lhs, rhs, {}
 
@@ -208,7 +208,7 @@ def _second_order_grammar(max_n: int, k: int | None) -> Iterator[Case]:
         enumerated = stirlingperm.trivariate_second_order(n)
         yield n, current, enumerated, {"route": "grammar-vs-enumeration"}
         univariate = enumerated.subst({"x": 1, "y": x, "z": 1})
-        from_triangle = permstats.second_order_poly_from_triangle(n)
+        from_triangle = expand.second_order_poly_from_triangle(n)
         yield n, univariate, from_triangle, {"route": "univariate-vs-recurrence"}
 
 
@@ -286,16 +286,16 @@ def _gamma_closed_values(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
-    permstats.triangle_guard(max_n)
+    expand.triangle_guard(max_n)
     for n in range(2, max_n + 1):
-        yield n, permstats.triangle("second-order-eulerian", n, 2), 2 ** (n + 1) - 2 * (n + 1), {}
+        yield n, expand.triangle("second-order-eulerian", n, 2), 2 ** (n + 1) - 2 * (n + 1), {}
 
 
 def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
     trees.guard(max_n, trees.default_spec("deghist"))
     table = expand.gamma_tables("gamma-n-histogram", max_n)
     for n in range(2, max_n + 1):
-        want = {j: permstats.triangle("second-order-eulerian", n - 1, j) for j in range(1, n)}
+        want = {j: expand.triangle("second-order-eulerian", n - 1, j) for j in range(1, n)}
         for j in range(1, n):
             yield n, sum(v for key, v in table.values[n].items() if key[0] == j), want[j], {"j": j}
         leaf_counts = trees.tree_weight_poly(n, "deghist").exponent_table(["m_1"])
@@ -365,13 +365,19 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     reported with status ``"empty"``, which does not count as passed.  A size
     guard hit during the check is reported with status ``"guard"`` and the
     guard's message as the note, so the rest of a catalog run can go on.
-    A ``k`` for an identity that takes none raises ``InvalidParamError``.
+    Any other ``EngineError`` or ``ValueError`` raised while the cases run
+    means a route broke a precondition of what reads it: it is reported as
+    ``"fail"`` with no counterexample and the exception's type and message
+    as the note.  A ``k`` below 1, or for an identity that takes none, raises
+    ``InvalidParamError`` before the check.
     """
     entry = _REGISTRY.get(name)
     if entry is None:
         raise UnknownIdentityError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
     if k is not None and not entry.uses_k:
         raise InvalidParamError(f"identity {name} takes no k")
+    if k is not None and k < 1:
+        raise InvalidParamError(f"k must be >= 1, got {k}")
     bound = entry.default_max_n if max_n is None else max_n
     params = {"max_n": bound}
     if entry.uses_k:
@@ -384,6 +390,9 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
         counterexample = _first_mismatch(entry.fn(bound, k))
     except SizeLimitError as exc:
         return IdentityReport(name, params, "guard", None, time.perf_counter() - start, str(exc))
+    except (EngineError, ValueError) as exc:  # a route's output broke a solver's or a table's precondition
+        note = f"{type(exc).__name__}: {exc}"
+        return IdentityReport(name, params, "fail", None, time.perf_counter() - start, note)
     return IdentityReport(
         name=name,
         params=params,

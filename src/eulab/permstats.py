@@ -1,9 +1,8 @@
-"""Exhaustive permutation enumeration, statistics, and classical triangles.
+"""Exhaustive permutation enumeration and the statistics read off it.
 
 This is the ground-truth side of the engine: everything here is computed by
-direct counting over S_n (guarded at n <= 10) or by the defining recurrence
-of a number triangle, never by the grammar or series routes it is used to
-check.
+direct counting over S_n (guarded at n <= 10), never by the grammar, series
+or recurrence routes it is used to check.
 
 S_n is swept once per n.  ``_perm_table(n)`` checks the enumeration guard,
 then makes one prefix walk that records the joint distribution of
@@ -32,13 +31,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import OutOfRangeError, SizeLimitError
+from .errors import SizeLimitError
 from .exactalg import Poly
 
 MAX_ENUM_N = 10
-MAX_TRIANGLE_N = 60
-
-TRIANGLES = ("stirling2", "eulerian", "second-order-eulerian", "surjection")
 
 
 def guard(n: int) -> None:
@@ -174,53 +170,6 @@ def perm_poly(n: int, family: str) -> Poly:
         return Poly.one()
     projected = ((project(n, key), count) for key, count in joint.items())
     return Poly.from_exponents(pair for pair in projected if pair[0] is not None)
-
-
-# ---------------------------------------------------------------------------
-# Number triangles
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _triangle_row(name: str, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _triangle_row(name, n - 1)
-
-    def p(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    if name == "stirling2":
-        return tuple(p(k - 1) + k * p(k) for k in range(n + 1))
-    if name == "surjection":
-        # E(n,k) = k! S(n,k):  E(n,k) = k (E(n-1,k) + E(n-1,k-1))
-        return tuple(k * (p(k) + p(k - 1)) for k in range(n + 1))
-    if name == "eulerian":
-        return tuple((k + 1) * p(k) + (n - k) * p(k - 1) for k in range(n + 1))
-    if name == "second-order-eulerian":
-        return tuple(k * p(k) + (2 * n - k) * p(k - 1) for k in range(n + 1))
-    raise ValueError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
-
-
-def triangle_guard(n: int, k: int = 0) -> None:
-    """Raise before any row is built when (n, k) lies outside the triangles."""
-    if not (0 <= k <= n <= MAX_TRIANGLE_N):
-        raise OutOfRangeError(f"triangle index out of range: need 0 <= k <= n <= {MAX_TRIANGLE_N}")
-
-
-def triangle(name: str, n: int, k: int) -> int:
-    """Exact triangle entry via the defining recurrence (memoized rows)."""
-    if name not in TRIANGLES:
-        raise ValueError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
-    triangle_guard(n, k)
-    return _triangle_row(name, n)[k]
-
-
-def second_order_poly_from_triangle(n: int) -> Poly:
-    """C_n(x) assembled from the second-order Eulerian triangle."""
-    if n == 0:
-        return Poly.one()
-    return Poly.from_exponents(({"x": j}, triangle("second-order-eulerian", n, j)) for j in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_04_frobenius():
         for n in range(1, 9):
             lhs = x * permstats.perm_poly(n, "eulerian")
             rhs = poly_sum(
-                permstats.triangle("surjection", n, k) * x**k * (1 - x) ** (n - k)
+                expand.triangle("surjection", n, k) * x**k * (1 - x) ** (n - k)
                 for k in range(1, n + 1)
             )
             assert lhs == rhs, n
@@ -176,13 +176,13 @@ def test_09_closed_form_gamma_values():
             key = (n,) + (0,) * (n - 1) + (1,)
             assert row[key] == factorial(n), n
         for n in range(2, 21):
-            assert permstats.triangle("second-order-eulerian", n, 2) == 2 ** (n + 1) - 2 * (n + 1)
+            assert expand.triangle("second-order-eulerian", n, 2) == 2 ** (n + 1) - 2 * (n + 1)
         hist7 = expand.gamma_tables("gamma-n-histogram", 7)
         for n in range(2, 8):
             row = hist7.values[n]
             for j in range(1, n):
                 total = sum(c for key, c in row.items() if key[0] == j)
-                assert total == permstats.triangle("second-order-eulerian", n - 1, j), (n, j)
+                assert total == expand.triangle("second-order-eulerian", n - 1, j), (n, j)
 
 
 def test_10_egf_suite():

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from eulab import expand, permstats
 from eulab.cli import _TABLES, main
 from eulab.errors import InvalidParamError
 from eulab.exactalg import MAX_EXPONENT, Poly
@@ -49,6 +50,59 @@ class TestVerify:
         assert code == 3
         assert [r["status"] for r in json.loads(out)] == ["guard"]
         assert err == "size guard: table guard: need 0 <= n_max <= 12\n"
+
+    def test_a_wrong_route_is_a_reported_failure(self, capsys, monkeypatch):
+        """+1 on the largest joint key of S_n for n >= 2 breaks the gamma and partial-gamma
+        solvers' preconditions: those identities FAIL with the error as the note, and
+        every identity is still reported."""
+        sweep = permstats._perm_table
+
+        def planted(n):
+            table = sweep(n)
+            if n < 2:
+                return table
+            joint = dict(table.joint)
+            joint[max(joint)] += 1
+            return table._replace(joint=joint)
+
+        def clear():
+            for cached in (permstats.perm_poly, permstats.asc_suc_counts):
+                cached.cache_clear()
+
+        clear()
+        monkeypatch.setattr(permstats, "_perm_table", planted)
+        try:
+            code, out, err = run(capsys, ["verify", "all", "--json"])
+        finally:
+            clear()
+        assert (code, err) == (1, "")
+        reports = {r["identity"]: r for r in json.loads(out)}
+        assert len(reports) == 22
+        for name, error in [("gamma-eulerian", "NotPalindromicError"), ("partial-gamma", "NotExpandableError")]:
+            assert reports[name]["status"] == "fail"
+            assert reports[name]["note"].startswith(f"{error}: ")
+            assert "counterexample" not in reports[name]
+        assert reports["frobenius"]["status"] == "fail"
+        assert reports["andre"]["status"] == "pass"
+
+    def test_a_bad_histogram_entry_is_a_reported_failure(self, capsys, monkeypatch):
+        """A histogram entry off the theorem's shape fails the identities that read the table."""
+        read = expand.e_exponent_table
+
+        def planted(p, k):
+            table = read(p, k)
+            return {exps: -c for exps, c in table.items()} if p.total_degree() == 4 else table  # row 4
+
+        expand._histogram_rows.cache_clear()
+        monkeypatch.setattr(expand, "e_exponent_table", planted)
+        try:
+            code, out, _ = run(capsys, ["verify", "all", "--json"])
+        finally:
+            expand._histogram_rows.cache_clear()
+        assert code == 1
+        failed = {r["identity"]: r["note"] for r in json.loads(out) if r["status"] != "pass"}
+        assert set(failed) == {"gamma-2n-2n", "final-corollary"}
+        assert all(note.startswith("EngineError: histogram entry gamma(4;") for note in failed.values())
 
     def test_size_guard_exit_code(self, capsys):
         code, _, err = run(capsys, ["verify", "diaconis", "--max-n", "12"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import coefficients
 from eulab.errors import (
+    EngineError,
     NotExpandableError,
     NotPalindromicError,
     NotSymmetricError,
@@ -17,6 +18,7 @@ from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 from eulab.expand import (
     MAX_TABLE_N,
     TABLE_KINDS,
+    _check_histogram_entry,
     _dominated,
     _e_coefficient,
     esym_expand,
@@ -24,9 +26,10 @@ from eulab.expand import (
     gamma_expand,
     gamma_tables,
     partial_gamma_expand,
+    triangle,
 )
 from eulab.grammar import e_exponent_table, g10, stirling_vars
-from eulab.permstats import perm_poly, triangle
+from eulab.permstats import perm_poly
 from eulab.series import egf_build
 from eulab.stirlingperm import kth_order_poly
 from reference_walks import perm_stats as stats
@@ -480,19 +483,36 @@ class TestGammaTables:
             assert row[(n,) + (0,) * (n - 1) + (1,)] == factorial(n)
 
     def test_histogram_matches_grammar_exponents(self):
-        table = gamma_tables("gamma-n-histogram", 5)
-        k = 4
-        grammar = g10(k)
-        p = Poly.var("x_1")
-        for n in range(1, 6):
-            p = grammar.derive(p)
-            exps = e_exponent_table(p, k)
-            row = table.values[n]
-            rebuilt = {}
-            for key, c in exps.items():
-                hist = tuple(key[k - j + 1] for j in range(1, n + 1))
-                rebuilt[hist] = int(c)
-            assert rebuilt == row
+        """Row n read off G10:k equals the table's row for every k >= n - 1, so the rows
+        do not depend on the k they are read at."""
+        table = gamma_tables("gamma-n-histogram", MAX_TABLE_N)
+        for k in range(1, MAX_TABLE_N):
+            grammar = g10(k)
+            p = Poly.var("x_1")
+            for n in range(1, k + 2):
+                p = grammar.derive(p)
+                exps = e_exponent_table(p, k)
+                rebuilt = {}
+                for key, c in exps.items():
+                    hist = tuple(key[k - j + 1] for j in range(1, n + 1))
+                    rebuilt[hist] = int(c)
+                assert rebuilt == table.values[n], (k, n)
+
+    @pytest.mark.parametrize(
+        "n, hist, coeff, message",
+        [
+            (2, (1, 1), 0, "not a positive int"),
+            (2, (1, 1), Fraction(1, 2), "not a positive int"),
+            (3, (2, 0, 0), 1, "does not sum to 3"),
+            (3, (0, 3, 0), 1, "i_1 out of range"),
+            (3, (1, 0, 2), 1, "i_n must be 0 or 1"),
+            (4, (2, 1, 0, 1), 1, "i_n = 1 forces i_1 = n - 1"),
+        ],
+    )
+    def test_histogram_entry_off_shape_is_an_engine_error(self, n, hist, coeff, message):
+        _check_histogram_entry(3, (2, 0, 1), 2)
+        with pytest.raises(EngineError, match=message):
+            _check_histogram_entry(n, hist, coeff)
 
     def test_xy_poly_matches_nij(self):
         xy = gamma_tables("gamma-n-xy-poly", 8)
@@ -516,12 +536,7 @@ class TestGammaTables:
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_rows_do_not_depend_on_n_max(self, kind):
-        """A table up to n_max holds rows 0..n_max, each equal to that row of the largest table.
-
-        The histogram rows are read off G10:(n_max - 1), so this also checks that row n
-        does not depend on k for every k from n - 1, the smallest k that reads it, to
-        MAX_TABLE_N - 1.
-        """
+        """A table up to n_max holds rows 0..n_max, each equal to that row of the largest table."""
         largest = gamma_tables(kind, MAX_TABLE_N).values
         for n_max in range(MAX_TABLE_N + 1):
             rows = gamma_tables(kind, n_max).values

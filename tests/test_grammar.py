@@ -10,7 +10,7 @@ from hypothesis import given
 
 import eulab
 from conftest import polys
-from eulab import permstats, stirlingperm, trees
+from eulab import expand, permstats, stirlingperm, trees
 from eulab.exactalg import Poly, poly_sum
 from eulab.grammar import (
     Grammar,
@@ -174,7 +174,7 @@ class TestCrossRoutes:
         for n in range(1, 8):
             expected = x * sum(
                 (
-                    permstats.triangle("eulerian", n, k) * x**k * y ** (n - k)
+                    expand.triangle("eulerian", n, k) * x**k * y ** (n - k)
                     for k in range(n)
                 ),
                 Poly.zero(),
@@ -185,7 +185,7 @@ class TestCrossRoutes:
         for n in range(1, 8):
             expected = (u + x) * sum(
                 (
-                    permstats.triangle("surjection", n, k) * x**k * u ** (n - k)
+                    expand.triangle("surjection", n, k) * x**k * u ** (n - k)
                     for k in range(1, n + 1)
                 ),
                 Poly.zero(),

@@ -106,8 +106,8 @@ def test_gamma_table_bound_is_a_guard_not_a_failure():
 def walks(monkeypatch):
     """Make every walk behind a range guard raise; the list records the arguments of each.
 
-    The walks are the three enumeration oracles, the triangle rows and the fills of
-    the gamma tables.
+    The walks are the three enumeration oracles, the recurrence rows and the
+    histogram's G10 iteration.
     """
     calls = []
 
@@ -118,9 +118,8 @@ def walks(monkeypatch):
     monkeypatch.setattr(permstats, "_perm_table", sweep)
     monkeypatch.setattr(stirlingperm, "_walk", sweep)
     monkeypatch.setattr(trees, "_walk", sweep)
-    monkeypatch.setattr(permstats, "_triangle_row", sweep)
-    for kind in expand.TABLE_KINDS:
-        monkeypatch.setitem(expand._FILLS, kind, sweep)
+    monkeypatch.setattr(expand, "_row", sweep)
+    monkeypatch.setattr(expand, "_histogram_rows", sweep)
     return calls
 
 
@@ -159,32 +158,64 @@ def test_every_check_guards_before_any_walk(walks, name):
 
 def test_cn2_guard_is_the_triangle_guard(walks):
     with pytest.raises(OutOfRangeError) as exc:
-        permstats.triangle("second-order-eulerian", 2000, 2)
+        expand.triangle("second-order-eulerian", 2000, 2)
     report = verify("cn2-closed-form", 2000)
     assert (report.status, report.note) == ("guard", str(exc.value))
     assert walks == []
 
 
-def test_gamma_xy_check_sees_a_planted_row_term(monkeypatch):
-    """x(x-1)(x-2) y^3 added to row 5 vanishes at x = 0, 1, 2, so a check at points
-    with those x values misses it; comparing whole polynomials does not."""
-    fill = expand._FILLS["gamma-n-xy-poly"]
-    x, y = Poly.var("x"), Poly.var("y")
+@pytest.fixture
+def cold_rows():
+    """Clear the recurrence rows before and after a test that plants a fault in them."""
+    expand._row.cache_clear()
+    yield
+    expand._row.cache_clear()
 
-    def planted(n_max):
-        rows = fill(n_max)
-        if n_max >= 5:
-            rows[5] = rows[5] + x * (x - 1) * (x - 2) * y**3
-        return rows
 
-    monkeypatch.setitem(expand._FILLS, "gamma-n-xy-poly", planted)
-    expand.gamma_tables.cache_clear()
-    try:
-        report = verify("gamma-xy-closed-form")
-    finally:
-        expand.gamma_tables.cache_clear()
-    assert report.status == "fail"
-    assert report.counterexample["n"] == 5
+def _bump_entry_2(row):
+    return row[:2] + (row[2] + 1,) + row[3:]
+
+
+_x, _y = Poly.var("x"), Poly.var("y")
+
+
+#: (recurrence kind, the row planted, the fault, {identity that reads the table: first n it fails at})
+_PLANTED_ROWS = [
+    ("surjection", 3, _bump_entry_2, {"frobenius": 3}),
+    (
+        "second-order-eulerian",
+        3,
+        _bump_entry_2,
+        {"cn2-closed-form": 3, "second-order-grammar": 3, "final-corollary": 4},  # the last reads row n - 1
+    ),
+    ("gamma-nij", 3, lambda row: {**row, (1, 1): row[(1, 1)] + 1}, {"partial-gamma": 3, "forest-gamma": 3}),
+    # x(x-1)(x-2) y^3 vanishes at x = 0, 1, 2, so a check at points with those x
+    # values would miss it; comparing whole polynomials does not
+    ("gamma-n-xy-poly", 5, lambda row: row + _x * (_x - 1) * (_x - 2) * _y**3, {"gamma-xy-closed-form": 5}),
+    # no identity reads these two triangles: only `table eulerian` and the tests do
+    ("eulerian", 3, _bump_entry_2, {}),
+    ("stirling2", 3, _bump_entry_2, {}),
+]
+
+
+def test_planted_rows_cover_every_recurrence():
+    assert {case[0] for case in _PLANTED_ROWS} == set(expand._RULES)
+
+
+@pytest.mark.parametrize("kind, n, plant, readers", _PLANTED_ROWS, ids=[case[0] for case in _PLANTED_ROWS])
+def test_recurrence_route_is_load_bearing(monkeypatch, cold_rows, kind, n, plant, readers):
+    """A wrong recurrence row fails exactly the identities that read that table, at that row."""
+    row0, rule = expand._RULES[kind]
+
+    def planted(prev, m):
+        row = rule(prev, m)
+        return plant(row) if m == n else row
+
+    monkeypatch.setitem(expand._RULES, kind, (row0, planted))
+    reports = {report.name: report for report in identities.verify_all()}
+    failed = {name: report.counterexample["n"] for name, report in reports.items() if report.status == "fail"}
+    assert failed == readers
+    assert all(report.passed for name, report in reports.items() if name not in readers)
 
 
 def test_mainthm_esym_guards_every_k(walks):
@@ -197,8 +228,9 @@ def test_mainthm_esym_guards_every_k(walks):
 
 def test_verify_all_walks_each_object_set_once(monkeypatch):
     """At default ranges, from cold caches, S_n is swept once per n, Q_n(k) walked once
-    per (n, k) and each tree family once per n, whichever identities read them."""
-    for module in (permstats, stirlingperm, trees):
+    per (n, k), each tree family once per n, each recurrence row built once per
+    (kind, n) and G10 iterated once for the histogram, whichever identities read them."""
+    for module in (permstats, stirlingperm, trees, expand):
         for value in list(vars(module).values()):
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
@@ -214,7 +246,7 @@ def test_verify_all_walks_each_object_set_once(monkeypatch):
             misses = info().misses if info else 0
             result = walk(*args)
             if info is None or info().misses > misses:
-                runs[(module.__name__, *args)] += 1
+                runs[(module.__name__, name, *args)] += 1
             return result
 
         monkeypatch.setattr(module, name, counted)
@@ -222,8 +254,16 @@ def test_verify_all_walks_each_object_set_once(monkeypatch):
     count_runs(permstats, "_perm_table")
     count_runs(stirlingperm, "_walk")
     count_runs(trees, "_walk")
+    count_runs(expand, "_row")
+    count_runs(expand, "_histogram_rows")
     assert all(report.passed for report in identities.verify_all())
-    assert {key[0] for key in runs} == {"eulab.permstats", "eulab.stirlingperm", "eulab.trees"}
+    assert {key[:2] for key in runs} == {
+        ("eulab.permstats", "_perm_table"),
+        ("eulab.stirlingperm", "_walk"),
+        ("eulab.trees", "_walk"),
+        ("eulab.expand", "_row"),
+        ("eulab.expand", "_histogram_rows"),
+    }
     assert {key: c for key, c in runs.items() if c > 1} == {}
 
 

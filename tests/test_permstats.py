@@ -7,14 +7,13 @@ import pytest
 from eulab import permstats
 from eulab.errors import OutOfRangeError, SizeLimitError
 from eulab.exactalg import Poly
+from eulab.expand import second_order_poly_from_triangle, triangle
 from eulab.permstats import (
     FAMILIES,
     _perm_table,
     asc_suc_counts,
     diaconis_profile,
     perm_poly,
-    second_order_poly_from_triangle,
-    triangle,
 )
 from eulab.series import egf_build
 from reference_walks import perm_row, perm_sweep

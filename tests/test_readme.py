@@ -41,7 +41,7 @@ def test_expand_bases():
         (r"Stirling generation at (\d+\^\d+) words", stirlingperm.PRODUCT_GUARD),
         (r"tree generation at (\d+\^\d+) trees", trees.TREE_GUARD),
         (r"depth bound `n <= (\d+)`", trees.MAX_DEPTH),
-        (r"triangles at `n <= (\d+)`", permstats.MAX_TRIANGLE_N),
+        (r"triangles at `n <= (\d+)`", expand.MAX_TRIANGLE_N),
         (r"gamma tables at `n <= (\d+)`", expand.MAX_TABLE_N),
         (r"at order (\d+)", series.MAX_SERIES_ORDER),
         (r"key field at (\d+)", exactalg.MAX_EXPONENT),

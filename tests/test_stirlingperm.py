@@ -8,8 +8,9 @@ import pytest
 import eulab.stirlingperm as stirlingperm_mod
 from eulab.errors import SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly, elementary_symmetric
+from eulab.expand import second_order_poly_from_triangle
 from eulab.grammar import g9, stirling_vars
-from eulab.permstats import perm_poly, second_order_poly_from_triangle
+from eulab.permstats import perm_poly
 from eulab.stirlingperm import (
     _walk,
     guard,

@@ -6,9 +6,9 @@ import pytest
 import eulab.trees as trees_mod
 from eulab.errors import SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly
-from eulab.expand import gamma_expand, gamma_tables
+from eulab.expand import gamma_expand, gamma_tables, triangle
 from eulab.grammar import g4
-from eulab.permstats import perm_poly, triangle
+from eulab.permstats import perm_poly
 from eulab.trees import (
     WEIGHTINGS,
     FamilySpec,
