@@ -20,7 +20,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import expand as expand_mod
-from . import identities, permstats, stirlingperm, trees
+from . import grammar, identities, permstats, stirlingperm, trees
 from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
 from .exactalg import Poly
 
@@ -85,7 +85,7 @@ def _gamma_nij_table(n: int, k: int | None) -> _IntegerTable:
 
 
 def _gamma_histogram_table(n: int, k: int | None) -> _IntegerTable:
-    rows = expand_mod.gamma_tables("gamma-n-histogram", n).values
+    rows = grammar.histogram_rows(n)
     cells = [(m, list(key), v) for m, row in enumerate(rows) for key, v in sorted(row.items())]
     return ("n", "index", "value"), cells
 

@@ -206,9 +206,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in _decode(reduce(or_, self._terms, 0)))
 

@@ -1,8 +1,10 @@
-"""Basis-expansion solvers and the recurrence and gamma coefficient tables.
+"""Basis-expansion solvers and the recurrence tables: number triangles and two gamma tables.
 
 Each solver peels coefficients: it reads one basis coefficient and subtracts that
 element's coefficients from a dense list or (esym) a table of partitions, so no basis
 polynomial is built.  ``Expansion.reconstruct`` writes them out: it is the certificate.
+Every table here is built by recurrence; the gamma-histogram rows, read off grammar
+iteration, are ``grammar.histogram_rows``.
 """
 
 from __future__ import annotations
@@ -10,19 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations
 from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
-from .errors import (
-    EngineError,
-    NotExpandableError,
-    NotPalindromicError,
-    NotSymmetricError,
-    OutOfRangeError,
-)
+from .errors import NotExpandableError, NotPalindromicError, NotSymmetricError, OutOfRangeError
 from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
-from .grammar import e_exponent_table, g10
 
 MAX_TABLE_N = 12
 
@@ -207,7 +202,7 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
 
 MAX_TRIANGLE_N = 60
 
-TRIANGLES = ("stirling2", "eulerian", "second-order-eulerian", "surjection")
+TRIANGLES = ("eulerian", "second-order-eulerian", "surjection")
 
 
 def _above(prev: tuple[int, ...], n: int) -> Iterator[tuple[int, int, int]]:
@@ -238,7 +233,6 @@ def _gamma_xy_rule(g: Poly, n: int) -> Poly:
 
 #: kind -> (row 0, the rule that builds row n from row n - 1 and n)
 _RULES: dict[str, tuple[object, Callable]] = {
-    "stirling2": ((1,), lambda prev, n: tuple(k * t + s for k, t, s in _above(prev, n))),
     "surjection": ((1,), lambda prev, n: tuple(k * (t + s) for k, t, s in _above(prev, n))),  # E(n, k) = k! S(n, k)
     "eulerian": ((1,), lambda prev, n: tuple((k + 1) * t + (n - k) * s for k, t, s in _above(prev, n))),
     "second-order-eulerian": ((1,), lambda prev, n: tuple(k * t + (2 * n - k) * s for k, t, s in _above(prev, n))),
@@ -277,63 +271,22 @@ def second_order_poly_from_triangle(n: int) -> Poly:
 
 @dataclass(frozen=True)
 class GammaTable:
-    """One of the three gamma coefficient tables, stored by row: ``values[n]`` is row n.
+    """One of the two recurrence gamma tables, stored by row: ``values[n]`` is row n.
 
-    gamma-nij         values[n] -> {(i, j): gamma_{n,i,j}}, by recurrence
-    gamma-n-histogram values[n] -> {(i_1..i_n): gamma(n; i_1..i_n)}, read off
-                      G10 iteration (the grammar route); row 0 is {}
-    gamma-n-xy-poly   values[n] -> gamma_n(x, y) as a Poly in x, y, by recurrence
+    gamma-nij         values[n] -> {(i, j): gamma_{n,i,j}}
+    gamma-n-xy-poly   values[n] -> gamma_n(x, y) as a Poly in x, y
     """
 
     values: tuple
 
 
-TABLE_KINDS = ("gamma-nij", "gamma-n-histogram", "gamma-n-xy-poly")
+TABLE_KINDS = ("gamma-nij", "gamma-n-xy-poly")
 
 
 def gamma_tables(kind: str, n_max: int) -> GammaTable:
-    """Rows 0..n_max of the table ``kind``; refused past ``MAX_TABLE_N``."""
+    """Rows 0..n_max of the recurrence table ``kind``; refused past ``MAX_TABLE_N``."""
     if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if not 0 <= n_max <= MAX_TABLE_N:
         raise OutOfRangeError(f"table guard: need 0 <= n_max <= {MAX_TABLE_N}")
-    if kind == "gamma-n-histogram":
-        return GammaTable(_histogram_rows()[: n_max + 1])
     return GammaTable(tuple(_row(kind, n) for n in range(n_max + 1)))
-
-
-@lru_cache(maxsize=None)
-def _histogram_rows() -> tuple[dict[tuple[int, ...], int], ...]:
-    """Rows gamma(n; i_1..i_n) for n <= MAX_TABLE_N, read off one G10 iteration.
-
-    Iterating with k = MAX_TABLE_N - 1 keeps every e-index in range (the smallest
-    index reached in row n is k - n + 2 >= 1).  The entries do not depend on k
-    once k >= n - 2, but i_n, the exponent of e_{k-n+2}, is read only at k >= n - 1,
-    so every table is a prefix of these rows.
-    """
-    rows: list[dict[tuple[int, ...], int]] = [{}]
-    k = MAX_TABLE_N - 1
-    for n, p in islice(enumerate(g10(k).iterates(Poly.var("x_1"))), 1, MAX_TABLE_N + 1):
-        row = {}
-        for exps, coeff in e_exponent_table(p, k).items():
-            # exponent of e_{k-j+2} is i_j;  exps is indexed by e_1..e_{k+1}
-            hist = tuple(exps[k - j + 1] for j in range(1, n + 1))
-            _check_histogram_entry(n, hist, coeff)
-            row[hist] = int(coeff)
-        rows.append(row)
-    return tuple(rows)
-
-
-def _check_histogram_entry(n: int, hist: tuple[int, ...], coeff: Rational) -> None:
-    """Raise ``EngineError`` unless gamma(n; hist) = coeff has the shape the theorem gives."""
-    if coeff != int(coeff) or coeff <= 0:
-        raise EngineError(f"histogram entry gamma({n};{hist}) = {coeff} is not a positive int")
-    if sum(hist) != n:
-        raise EngineError(f"histogram row gamma({n};{hist}) does not sum to {n}")
-    if n >= 2:
-        if not 1 <= hist[0] <= n - 1:
-            raise EngineError(f"gamma({n};{hist}): i_1 out of range")
-        if hist[-1] not in (0, 1):
-            raise EngineError(f"gamma({n};{hist}): i_n must be 0 or 1")
-        if hist[-1] == 1 and hist[0] != n - 1:
-            raise EngineError(f"gamma({n};{hist}): i_n = 1 forces i_1 = n - 1")

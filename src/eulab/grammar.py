@@ -8,15 +8,18 @@ the engine; G9 and G10 are parameterized by the Stirling multiplicity k.
 In G10 the symbols e_0..e_{k+1} are opaque letters (e_0 is an inert letter
 with derivative zero); they are only expanded into genuine elementary
 symmetric polynomials by the explicit substitution built by
-symmetric_expansion_map().
+symmetric_expansion_map().  The gamma-histogram rows gamma(n; i_1..i_n) are
+read off G10 iteration (``histogram_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
+from .errors import EngineError, OutOfRangeError
 from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
 
 
@@ -171,6 +174,53 @@ def e_exponent_table(p: Poly, k: int) -> dict[tuple[int, ...], Rational]:
     if stray:
         raise ValueError(f"letters {sorted(stray)} are not in the e-alphabet for k={k}")
     return p.exponent_table([e_letter(i) for i in range(1, k + 2)])
+
+
+MAX_HISTOGRAM_N = 12
+
+
+def histogram_rows(n_max: int) -> tuple[dict[tuple[int, ...], int], ...]:
+    """Rows 0..n_max of gamma(n; i_1..i_n); refused past ``MAX_HISTOGRAM_N``.  Row 0 is {}."""
+    if not 0 <= n_max <= MAX_HISTOGRAM_N:
+        raise OutOfRangeError(f"table guard: need 0 <= n_max <= {MAX_HISTOGRAM_N}")
+    return _histogram_rows()[: n_max + 1]
+
+
+@lru_cache(maxsize=None)
+def _histogram_rows() -> tuple[dict[tuple[int, ...], int], ...]:
+    """Rows gamma(n; i_1..i_n) for n <= MAX_HISTOGRAM_N, read off one G10 iteration.
+
+    Iterating with k = MAX_HISTOGRAM_N - 1 keeps every e-index in range (the smallest
+    index reached in row n is k - n + 2 >= 1).  The entries do not depend on k
+    once k >= n - 2, but i_n, the exponent of e_{k-n+2}, is read only at k >= n - 1,
+    so every table is a prefix of these rows.
+    """
+    rows: list[dict[tuple[int, ...], int]] = [{}]
+    k = MAX_HISTOGRAM_N - 1
+    for n, p in islice(enumerate(g10(k).iterates(Poly.var("x_1"))), 1, MAX_HISTOGRAM_N + 1):
+        row = {}
+        for exps, coeff in e_exponent_table(p, k).items():
+            # exponent of e_{k-j+2} is i_j;  exps is indexed by e_1..e_{k+1}
+            hist = tuple(exps[k - j + 1] for j in range(1, n + 1))
+            _check_histogram_entry(n, hist, coeff)
+            row[hist] = int(coeff)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _check_histogram_entry(n: int, hist: tuple[int, ...], coeff: Rational) -> None:
+    """Raise ``EngineError`` unless gamma(n; hist) = coeff has the shape the theorem gives."""
+    if coeff != int(coeff) or coeff <= 0:
+        raise EngineError(f"histogram entry gamma({n};{hist}) = {coeff} is not a positive int")
+    if sum(hist) != n:
+        raise EngineError(f"histogram row gamma({n};{hist}) does not sum to {n}")
+    if n >= 2:
+        if not 1 <= hist[0] <= n - 1:
+            raise EngineError(f"gamma({n};{hist}): i_1 out of range")
+        if hist[-1] not in (0, 1):
+            raise EngineError(f"gamma({n};{hist}): i_n must be 0 or 1")
+        if hist[-1] == 1 and hist[0] != n - 1:
+            raise EngineError(f"gamma({n};{hist}): i_n = 1 forces i_1 = n - 1")
 
 
 def catalog(name: str) -> Grammar:

@@ -276,13 +276,13 @@ def _histogram_independence(max_n: int, k: int | None) -> Iterator[Case]:
 
 
 def _gamma_closed_values(max_n: int, k: int | None) -> Iterator[Case]:
-    table = expand.gamma_tables("gamma-n-histogram", max_n + 1)  # row n + 1 is read below
+    rows = grammar.histogram_rows(max_n + 1)  # row n + 1 is read below
     for n in range(3, max_n + 1):
         key = (2, n - 3, 1) + (0,) * (n - 3)
-        yield n, table.values[n].get(key, 0), 2**n - 2 * n, {"key": list(key)}
+        yield n, rows[n].get(key, 0), 2**n - 2 * n, {"key": list(key)}
     for n in range(2, max_n + 1):
         key = (n,) + (0,) * (n - 1) + (1,)
-        yield n + 1, table.values[n + 1].get(key, 0), factorial(n), {"key": list(key)}
+        yield n + 1, rows[n + 1].get(key, 0), factorial(n), {"key": list(key)}
 
 
 def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
@@ -293,11 +293,11 @@ def _cn2_closed_form(max_n: int, k: int | None) -> Iterator[Case]:
 
 def _final_corollary(max_n: int, k: int | None) -> Iterator[Case]:
     trees.guard(max_n, trees.default_spec("deghist"))
-    table = expand.gamma_tables("gamma-n-histogram", max_n)
+    rows = grammar.histogram_rows(max_n)
     for n in range(2, max_n + 1):
         want = {j: expand.triangle("second-order-eulerian", n - 1, j) for j in range(1, n)}
         for j in range(1, n):
-            yield n, sum(v for key, v in table.values[n].items() if key[0] == j), want[j], {"j": j}
+            yield n, sum(v for key, v in rows[n].items() if key[0] == j), want[j], {"j": j}
         leaf_counts = trees.tree_weight_poly(n, "deghist").exponent_table(["m_1"])
         for j in range(1, n):
             yield n, leaf_counts.get((j,), 0), want[j], {"j": j, "route": "leaf-count"}

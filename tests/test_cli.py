@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from eulab import expand, permstats
+from eulab import grammar, permstats
 from eulab.cli import _TABLES, main
 from eulab.errors import InvalidParamError
 from eulab.exactalg import MAX_EXPONENT, Poly
@@ -87,18 +87,19 @@ class TestVerify:
 
     def test_a_bad_histogram_entry_is_a_reported_failure(self, capsys, monkeypatch):
         """A histogram entry off the theorem's shape fails the identities that read the table."""
-        read = expand.e_exponent_table
+        read = grammar.e_exponent_table
 
         def planted(p, k):
             table = read(p, k)
-            return {exps: -c for exps, c in table.items()} if p.total_degree() == 4 else table  # row 4
+            row_4 = k == grammar.MAX_HISTOGRAM_N - 1 and p.total_degree() == 4  # mainthm-esym reads k <= 4
+            return {exps: -c for exps, c in table.items()} if row_4 else table
 
-        expand._histogram_rows.cache_clear()
-        monkeypatch.setattr(expand, "e_exponent_table", planted)
+        grammar._histogram_rows.cache_clear()
+        monkeypatch.setattr(grammar, "e_exponent_table", planted)
         try:
             code, out, _ = run(capsys, ["verify", "all", "--json"])
         finally:
-            expand._histogram_rows.cache_clear()
+            grammar._histogram_rows.cache_clear()
         assert code == 1
         failed = {r["identity"]: r["note"] for r in json.loads(out) if r["status"] != "pass"}
         assert set(failed) == {"gamma-2n-2n", "final-corollary"}

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from conftest import coefficients
 from eulab.errors import (
-    EngineError,
     NotExpandableError,
     NotPalindromicError,
     NotSymmetricError,
@@ -18,7 +17,6 @@ from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 from eulab.expand import (
     MAX_TABLE_N,
     TABLE_KINDS,
-    _check_histogram_entry,
     _dominated,
     _e_coefficient,
     esym_expand,
@@ -127,8 +125,6 @@ class TestFrobeniusExpand:
 
     def test_four_letters_from_triangle(self):
         # oracle: k! S(4,k) with S(4,2) = 7, S(4,3) = 6
-        assert triangle("stirling2", 4, 2) == 7
-        assert triangle("stirling2", 4, 3) == 6
         expansion = frobenius_expand(x * perm_poly(4, "eulerian"), "x", 4)
         assert expansion.coeffs == {(1,): 1, (2,): 14, (3,): 36, (4,): 24}
 
@@ -466,53 +462,6 @@ class TestGammaTables:
         for n in range(8):
             expansion = partial_gamma_expand(perm_poly(n + 1, "trivariate"), n)
             assert {k: int(c) for k, c in expansion.coeffs.items()} == table.values[n]
-
-    def test_histogram_entries(self):
-        table = gamma_tables("gamma-n-histogram", 5)
-        assert table.values[4][(2, 1, 1, 0)] == 8
-        assert table.values[3][(2, 0, 1)] == 2
-        assert table.values[2] == {(1, 1): 1}
-
-    def test_histogram_closed_forms(self):
-        table = gamma_tables("gamma-n-histogram", 9)
-        for n in range(3, 9):
-            row = table.values[n]
-            assert row[(2, n - 3, 1) + (0,) * (n - 3)] == 2**n - 2 * n
-        for n in range(2, 9):
-            row = table.values[n + 1]
-            assert row[(n,) + (0,) * (n - 1) + (1,)] == factorial(n)
-
-    def test_histogram_matches_grammar_exponents(self):
-        """Row n read off G10:k equals the table's row for every k >= n - 1, so the rows
-        do not depend on the k they are read at."""
-        table = gamma_tables("gamma-n-histogram", MAX_TABLE_N)
-        for k in range(1, MAX_TABLE_N):
-            grammar = g10(k)
-            p = Poly.var("x_1")
-            for n in range(1, k + 2):
-                p = grammar.derive(p)
-                exps = e_exponent_table(p, k)
-                rebuilt = {}
-                for key, c in exps.items():
-                    hist = tuple(key[k - j + 1] for j in range(1, n + 1))
-                    rebuilt[hist] = int(c)
-                assert rebuilt == table.values[n], (k, n)
-
-    @pytest.mark.parametrize(
-        "n, hist, coeff, message",
-        [
-            (2, (1, 1), 0, "not a positive int"),
-            (2, (1, 1), Fraction(1, 2), "not a positive int"),
-            (3, (2, 0, 0), 1, "does not sum to 3"),
-            (3, (0, 3, 0), 1, "i_1 out of range"),
-            (3, (1, 0, 2), 1, "i_n must be 0 or 1"),
-            (4, (2, 1, 0, 1), 1, "i_n = 1 forces i_1 = n - 1"),
-        ],
-    )
-    def test_histogram_entry_off_shape_is_an_engine_error(self, n, hist, coeff, message):
-        _check_histogram_entry(3, (2, 0, 1), 2)
-        with pytest.raises(EngineError, match=message):
-            _check_histogram_entry(n, hist, coeff)
 
     def test_xy_poly_matches_nij(self):
         xy = gamma_tables("gamma-n-xy-poly", 8)

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -11,9 +12,12 @@ from hypothesis import given
 import eulab
 from conftest import polys
 from eulab import expand, permstats, stirlingperm, trees
+from eulab.errors import EngineError, OutOfRangeError
 from eulab.exactalg import Poly, poly_sum
 from eulab.grammar import (
+    MAX_HISTOGRAM_N,
     Grammar,
+    _check_histogram_entry,
     catalog,
     e_exponent_table,
     g1,
@@ -24,6 +28,7 @@ from eulab.grammar import (
     g7,
     g9,
     g10,
+    histogram_rows,
     stirling_vars,
     symmetric_expansion_map,
     transform_catalog,
@@ -79,7 +84,7 @@ class TestDerive:
 
     def test_constant_derives_to_zero(self):
         for g in (g1(), g5(), g9(2)):
-            assert g.derive(Poly.const(5)).is_zero()
+            assert not g.derive(Poly.const(5))
 
     def test_marker_product_step(self):
         assert g5().derive(L * M) == L * M * (s + y)
@@ -226,6 +231,60 @@ class TestCrossRoutes:
                 lhs = g10(k).iterate(Poly.var("x_1"), n).subst(mapping)
                 rhs = g9(k).iterate(Poly.var("x_1"), n)
                 assert lhs == rhs, (k, n)
+
+
+class TestHistogramRows:
+    def test_histogram_entries(self):
+        rows = histogram_rows(5)
+        assert rows[4][(2, 1, 1, 0)] == 8
+        assert rows[3][(2, 0, 1)] == 2
+        assert rows[2] == {(1, 1): 1}
+
+    def test_histogram_matches_grammar_exponents(self):
+        """Row n read off G10:k equals the table's row for every k >= n - 1, so the rows
+        do not depend on the k they are read at."""
+        rows = histogram_rows(MAX_HISTOGRAM_N)
+        for k in range(1, MAX_HISTOGRAM_N):
+            grammar = g10(k)
+            p = Poly.var("x_1")
+            for n in range(1, k + 2):
+                p = grammar.derive(p)
+                exps = e_exponent_table(p, k)
+                rebuilt = {}
+                for key, c in exps.items():
+                    hist = tuple(key[k - j + 1] for j in range(1, n + 1))
+                    rebuilt[hist] = int(c)
+                assert rebuilt == rows[n], (k, n)
+
+    @pytest.mark.parametrize(
+        "n, hist, coeff, message",
+        [
+            (2, (1, 1), 0, "not a positive int"),
+            (2, (1, 1), Fraction(1, 2), "not a positive int"),
+            (3, (2, 0, 0), 1, "does not sum to 3"),
+            (3, (0, 3, 0), 1, "i_1 out of range"),
+            (3, (1, 0, 2), 1, "i_n must be 0 or 1"),
+            (4, (2, 1, 0, 1), 1, "i_n = 1 forces i_1 = n - 1"),
+        ],
+    )
+    def test_histogram_entry_off_shape_is_an_engine_error(self, n, hist, coeff, message):
+        _check_histogram_entry(3, (2, 0, 1), 2)
+        with pytest.raises(EngineError, match=message):
+            _check_histogram_entry(n, hist, coeff)
+
+    def test_rows_do_not_depend_on_n_max(self):
+        """Rows up to n_max are rows 0..n_max, each equal to that row of the largest table."""
+        largest = histogram_rows(MAX_HISTOGRAM_N)
+        for n_max in range(MAX_HISTOGRAM_N + 1):
+            rows = histogram_rows(n_max)
+            assert len(rows) == n_max + 1
+            assert rows == largest[: n_max + 1], n_max
+
+    def test_guard(self):
+        with pytest.raises(OutOfRangeError, match=r"table guard: need 0 <= n_max <= 12"):
+            histogram_rows(MAX_HISTOGRAM_N + 1)
+        with pytest.raises(OutOfRangeError):
+            histogram_rows(-1)
 
 
 class TestCatalogLookup:

@@ -1,11 +1,14 @@
 import ast
 import inspect
 import json
+import pkgutil
 from collections import Counter
+from importlib import import_module
 
 import pytest
 
-from eulab import expand, identities, permstats, stirlingperm, trees
+import eulab
+from eulab import expand, grammar, identities, permstats, stirlingperm, trees
 from eulab.errors import OutOfRangeError
 from eulab.exactalg import Poly
 from eulab.identities import _REGISTRY, IDENTITY_NAMES, _first_mismatch, verify
@@ -119,7 +122,7 @@ def walks(monkeypatch):
     monkeypatch.setattr(stirlingperm, "_walk", sweep)
     monkeypatch.setattr(trees, "_walk", sweep)
     monkeypatch.setattr(expand, "_row", sweep)
-    monkeypatch.setattr(expand, "_histogram_rows", sweep)
+    monkeypatch.setattr(grammar, "_histogram_rows", sweep)
     return calls
 
 
@@ -192,9 +195,8 @@ _PLANTED_ROWS = [
     # x(x-1)(x-2) y^3 vanishes at x = 0, 1, 2, so a check at points with those x
     # values would miss it; comparing whole polynomials does not
     ("gamma-n-xy-poly", 5, lambda row: row + _x * (_x - 1) * (_x - 2) * _y**3, {"gamma-xy-closed-form": 5}),
-    # no identity reads these two triangles: only `table eulerian` and the tests do
+    # no identity reads this triangle: only `table eulerian` and the tests do
     ("eulerian", 3, _bump_entry_2, {}),
-    ("stirling2", 3, _bump_entry_2, {}),
 ]
 
 
@@ -230,7 +232,7 @@ def test_verify_all_walks_each_object_set_once(monkeypatch):
     """At default ranges, from cold caches, S_n is swept once per n, Q_n(k) walked once
     per (n, k), each tree family once per n, each recurrence row built once per
     (kind, n) and G10 iterated once for the histogram, whichever identities read them."""
-    for module in (permstats, stirlingperm, trees, expand):
+    for module in (permstats, stirlingperm, trees, expand, grammar):
         for value in list(vars(module).values()):
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
@@ -255,14 +257,14 @@ def test_verify_all_walks_each_object_set_once(monkeypatch):
     count_runs(stirlingperm, "_walk")
     count_runs(trees, "_walk")
     count_runs(expand, "_row")
-    count_runs(expand, "_histogram_rows")
+    count_runs(grammar, "_histogram_rows")
     assert all(report.passed for report in identities.verify_all())
     assert {key[:2] for key in runs} == {
         ("eulab.permstats", "_perm_table"),
         ("eulab.stirlingperm", "_walk"),
         ("eulab.trees", "_walk"),
         ("eulab.expand", "_row"),
-        ("eulab.expand", "_histogram_rows"),
+        ("eulab.grammar", "_histogram_rows"),
     }
     assert {key: c for key, c in runs.items() if c > 1} == {}
 
@@ -276,13 +278,47 @@ def test_transform_catalog_checks_one_multiplicity():
     assert g9_pairs(None) == [f"G9:{k}->G10:{k}" for k in range(1, 5)]
 
 
-@pytest.mark.parametrize("oracle", [permstats, stirlingperm, trees], ids=lambda m: m.__name__)
-def test_enumeration_oracles_import_no_other_route(oracle):
-    """The enumeration route reads the polynomial kernel and the error types only."""
-    imported = set()
-    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            imported.add(node.module)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            assert "eulab" not in ast.dump(node), ast.dump(node)
-    assert imported <= {"errors", "exactalg"}, imported
+#: module -> the package modules it may import (None: any).  Each route reads only the
+#: polynomial kernel and the error types, so no route can lean on another.
+IMPORT_TABLE = {
+    "errors": set(),
+    "exactalg": {"errors"},
+    "grammar": {"errors", "exactalg"},
+    "series": {"errors", "exactalg"},
+    "expand": {"errors", "exactalg"},
+    "permstats": {"errors", "exactalg"},
+    "stirlingperm": {"errors", "exactalg"},
+    "trees": {"errors", "exactalg"},
+    "identities": None,
+    "cli": None,
+    "__init__": None,
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports, relative or absolute; ``from . import x`` gives x."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("eulab." * bool(node.level) + (node.module or "")).rstrip(".")  # "from ." is eulab
+            names += [f"{base}.{alias.name}" for alias in node.names] if base == "eulab" else [base]
+    return {name.split(".")[1] for name in names if name.startswith("eulab.")}
+
+
+def test_package_imports_reads_every_import_form():
+    source = (
+        "import json\nfrom math import comb\nimport eulab.cli\nfrom eulab import expand\n"
+        "from eulab.trees import guard\nfrom . import grammar as g, series\nfrom .errors import EngineError\n"
+    )
+    assert package_imports(source) == {"cli", "expand", "trees", "grammar", "series", "errors"}
+
+
+@pytest.mark.parametrize("name", sorted({m.name for m in pkgutil.iter_modules(eulab.__path__)} | set(IMPORT_TABLE)))
+def test_each_module_imports_only_its_row_of_the_table(name):
+    """Every module of the package has a row, and imports from the package only what its row names."""
+    assert name in IMPORT_TABLE, f"eulab.{name} has no row in IMPORT_TABLE"
+    if IMPORT_TABLE[name] is not None:
+        imported = package_imports(inspect.getsource(import_module(f"eulab.{name}")))
+        assert imported <= IMPORT_TABLE[name], imported - IMPORT_TABLE[name]

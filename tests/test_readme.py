@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eulab import cli, exactalg, expand, identities, permstats, series, stirlingperm, trees
+from eulab import cli, exactalg, expand, grammar, identities, permstats, series, stirlingperm, trees
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -43,6 +43,7 @@ def test_expand_bases():
         (r"depth bound `n <= (\d+)`", trees.MAX_DEPTH),
         (r"triangles at `n <= (\d+)`", expand.MAX_TRIANGLE_N),
         (r"gamma tables at `n <= (\d+)`", expand.MAX_TABLE_N),
+        pytest.param(r"gamma tables at `n <= (\d+)`", grammar.MAX_HISTOGRAM_N, id="gamma-histogram-rows"),
         (r"at order (\d+)", series.MAX_SERIES_ORDER),
         (r"key field at (\d+)", exactalg.MAX_EXPONENT),
     ],
