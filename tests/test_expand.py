@@ -26,7 +26,7 @@ from eulab.expand import (
     partial_gamma_expand,
     triangle,
 )
-from eulab.grammar import e_exponent_table, g10, stirling_vars
+from eulab.grammar import e_exponent_table, g10, histogram_rows, stirling_vars
 from eulab.permstats import perm_poly
 from eulab.series import egf_build
 from eulab.stirlingperm import kth_order_poly
@@ -482,6 +482,15 @@ class TestGammaTables:
                     lhs = series.egf_coefficient(n).constant_value()
                     rhs = table.values[n].evaluate({"x": x0, "y": y0})
                     assert lhs == rhs, (n, x0, y0)
+
+    def test_histogram_closed_forms(self):
+        rows = histogram_rows(9)
+        for n in range(3, 9):
+            row = rows[n]
+            assert row[(2, n - 3, 1) + (0,) * (n - 3)] == 2**n - 2 * n
+        for n in range(2, 9):
+            row = rows[n + 1]
+            assert row[(n,) + (0,) * (n - 1) + (1,)] == factorial(n)
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_rows_do_not_depend_on_n_max(self, kind):
