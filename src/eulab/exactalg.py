@@ -14,6 +14,8 @@ order names are first seen.  A monomial product is then one integer add, and
 ``a`` divides ``b`` exactly when ``(b | guard) - a`` keeps every guard bit.
 A product, power or substitution whose exponent passes ``MAX_EXPONENT`` sets
 a guard bit and raises ``SizeLimitError``; it never wraps into the next field.
+A sum of products (``sum_of_products``, which ``*`` uses too) and a derivation
+(``derivation``) add every term into one dict and check the guard once.
 
 The packed format is private to this module: no other module of the package
 builds or takes one apart.  They read a polynomial as an exponent table
@@ -292,16 +294,7 @@ class Poly:
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Poly.zero()
-        out: dict[int, Rational] = {}
-        get = out.get
-        bterms = other._terms.items()
-        for ma, ca in self._terms.items():
-            for mb, cb in bterms:
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
-        return Poly(_guarded(out))
+        return sum_of_products(((1, self, other),))
 
     def __rmul__(self, other: Rational) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -536,6 +529,45 @@ def poly_sum(parts: Iterable[Poly]) -> Poly:
         for m, c in p._terms.items():
             out[m] = out.get(m, 0) + c
     return Poly(out)
+
+
+def sum_of_products(triples: Iterable[tuple[Rational, Poly, Poly]]) -> Poly:
+    """The sum of c * a * b over (c, a, b) triples, every term accumulated in one dict.
+
+    The guard reads every accumulated monomial, those whose coefficients cancel too,
+    so it raises exactly when some product a * b would.
+    """
+    out: dict[int, Rational] = {}
+    get = out.get
+    for c, a, b in triples:
+        bterms = b._terms.items()
+        for ma, ca in a._terms.items():
+            if c != 1:
+                ca *= c
+            for mb, cb in bterms:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+    return Poly(_guarded(out))
+
+
+def derivation(p: Poly, images: Mapping[str, Poly]) -> Poly:
+    """The sum of images[v] * dp/dv over the letters v, every term accumulated in one dict.
+
+    Guarded as ``sum_of_products``: it raises exactly when some images[v] * dp/dv would.
+    """
+    out: dict[int, Rational] = {}
+    get = out.get
+    terms = p._terms.items()
+    for v, image in images.items():
+        s = _shift(v)
+        unit = 1 << s
+        # the terms of dp/dv: m -> m - unit is one-to-one, so no two terms meet
+        dp = [(m - unit, c * e) for m, c in terms if (e := m >> s & MAX_EXPONENT)]
+        for mi, ci in image._terms.items():
+            for m, c in dp:
+                k = m + mi
+                out[k] = get(k, 0) + c * ci
+    return Poly(_guarded(out))
 
 
 def elementary_symmetric(variables: Sequence[str], k: int) -> Poly:

@@ -17,7 +17,7 @@ from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import NotExpandableError, NotPalindromicError, NotSymmetricError, OutOfRangeError
-from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
+from .exactalg import Poly, Rational, elementary_symmetric, sum_of_products
 
 MAX_TABLE_N = 12
 
@@ -49,18 +49,18 @@ class Expansion:
         if self.basis in ("gamma", "frobenius"):
             v = Poly.var(self.var)
             step, w = (2, 1 + v) if self.basis == "gamma" else (1, 1 - v)
-            return poly_sum(c * v**k * w ** (self.n - step * k) for (k,), c in self.coeffs.items())
+            return sum_of_products((c, v**k, w ** (self.n - step * k)) for (k,), c in self.coeffs.items())
         if self.basis == "partial-gamma":
             x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
-            return poly_sum(
-                c * (s + y) ** i * (2 * x * y) ** j * (x + y) ** (self.n - i - 2 * j)
+            return sum_of_products(
+                (c, (s + y) ** i * (2 * x * y) ** j, (x + y) ** (self.n - i - 2 * j))
                 for (i, j), c in self.coeffs.items()
             )
         if self.basis == "esym":
             e = [elementary_symmetric(self.variables, i) for i in range(1, len(self.variables) + 1)]
-            return poly_sum(
-                prod((ei**bi for ei, bi in zip(e, b) if bi), start=Poly.const(c))
-                for b, c in self.coeffs.items()
+            one = Poly.one()
+            return sum_of_products(
+                (c, prod((ei**bi for ei, bi in zip(e, b) if bi), start=one), one) for b, c in self.coeffs.items()
             )
         raise ValueError(f"unknown basis {self.basis!r}")
 
@@ -228,7 +228,9 @@ def _gamma_nij_rule(prev: dict[tuple[int, int], int], n: int) -> dict[tuple[int,
 
 def _gamma_xy_rule(g: Poly, n: int) -> Poly:
     x, y = Poly.var("x"), Poly.var("y")
-    return (x + (n - 1) * y) * g + y * (1 - x) * g.diff("x") + y * (1 - 2 * y) * g.diff("y")
+    return sum_of_products(
+        ((1, x + (n - 1) * y, g), (1, y * (1 - x), g.diff("x")), (1, y * (1 - 2 * y), g.diff("y")))
+    )
 
 
 #: kind -> (row 0, the rule that builds row n from row n - 1 and n)

@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EngineError, OutOfRangeError
-from .exactalg import Poly, Rational, elementary_symmetric, poly_sum
+from .exactalg import Poly, Rational, derivation, elementary_symmetric
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Grammar:
 
     def derive(self, p: Poly) -> Poly:
         """One application of the formal derivative D_G: the sum of rule(v) * dp/dv (Leibniz)."""
-        return poly_sum(rule * p.diff(v) for v, rule in self.rules.items())
+        return derivation(p, self.rules)
 
     def iterates(self, seed: Poly) -> Iterator[Poly]:
         """seed, D_G(seed), D_G^2(seed), ...; each derivative is taken only when asked for."""

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
 from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
-from .exactalg import Poly, poly_sum
+from .exactalg import Poly, sum_of_products
 from .series import Series, egf_build
 
 Counterexample = dict
@@ -166,10 +166,8 @@ def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
     lhs = egf_build("bivariate", max_n) * egf_build("fixpoint", max_n)
     yield from _series_cases(lhs, egf_build("trivariate", max_n), max_n, route="egf")
     for n in range(max_n + 1):
-        direct = poly_sum(
-            comb(n, i)
-            * permstats.perm_poly(i, "bivariate")
-            * permstats.perm_poly(n - i, "fixpoint")
+        direct = sum_of_products(
+            (comb(n, i), permstats.perm_poly(i, "bivariate"), permstats.perm_poly(n - i, "fixpoint"))
             for i in range(n + 1)
         )
         yield n, direct, permstats.perm_poly(n + 1, "trivariate"), {"route": "enumeration"}

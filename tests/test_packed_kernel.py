@@ -3,7 +3,8 @@
 ``tuple_kernel`` is the former implementation, kept as a reference: each
 property computes the same thing both ways, on small exponents and on
 exponents next to ``MAX_EXPONENT``, where a packed field is about to carry
-into its guard bit.
+into its guard bit.  The fused sums (``sum_of_products``, ``derivation``) are
+checked against sums of tuple-kernel products.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import eulab
 import tuple_kernel as ref
 from conftest import coefficients
 from eulab.errors import InexactDivisionError, PolyParseError, SizeLimitError
-from eulab.exactalg import MAX_EXPONENT, Poly
+from eulab.exactalg import MAX_EXPONENT, Poly, derivation, sum_of_products
 
 LIMIT = MAX_EXPONENT
 HALF = (LIMIT + 1) // 2
@@ -192,6 +193,66 @@ class TestAgainstTupleKernel:
 
 def power_of(name, e):
     return Poly.monomial({name: e})
+
+
+by_exponents = pytest.mark.parametrize("exponents", [small_exponents, edge_exponents], ids=["small", "edge"])
+
+
+class TestFusedSums:
+    """Each fused sum equals the sum of its tuple-kernel products, and raises exactly when one of them passes the limit."""
+
+    @by_exponents
+    @given(data=st.data())
+    def test_sum_of_products(self, exponents, data):
+        factor = pairs(exponents=exponents, max_terms=3)
+        triples = data.draw(st.lists(st.tuples(coefficients(), factor, factor), max_size=3))
+        polys = [(c, a, b) for c, (a, _), (b, _) in triples]
+        want = {}
+        for c, (_, at), (_, bt) in triples:
+            want = ref.add(want, ref.mul({(): c}, ref.mul(at, bt)))
+        if any(overflows(at, bt) for _, (_, at), (_, bt) in triples):
+            with pytest.raises(SizeLimitError):
+                sum_of_products(polys)
+        else:
+            assert dict(sum_of_products(polys).items()) == want
+
+    @given(pairs(exponents=edge_exponents), pairs(exponents=edge_exponents), coefficients())
+    def test_cancelling_products_are_guarded(self, a, b, c):
+        (p, pt), (q, qt) = a, b
+        if overflows(pt, qt):
+            with pytest.raises(SizeLimitError):
+                sum_of_products([(c, p, q), (-c, q, p)])
+        else:
+            assert not sum_of_products([(c, p, q), (-c, q, p)])
+
+    @by_exponents
+    @given(data=st.data())
+    def test_derivation(self, exponents, data):
+        p, pt = data.draw(pairs(exponents=exponents))
+        drawn = data.draw(st.dictionaries(st.sampled_from(NAMES + ("x",)), pairs(exponents=exponents, max_terms=2)))
+        images = {v: img for v, (img, _) in drawn.items()}
+        want = {}
+        for v, (_, it) in drawn.items():
+            want = ref.add(want, ref.mul(it, ref.diff(pt, v)))
+        if any(overflows(it, ref.diff(pt, v)) for v, (_, it) in drawn.items()):
+            with pytest.raises(SizeLimitError):
+                derivation(p, images)
+        else:
+            assert dict(derivation(p, images).items()) == want
+
+    @pytest.mark.parametrize("e", [LIMIT - 1, LIMIT, LIMIT + 1])
+    def test_cancelling_derivation_terms_are_guarded(self, e):
+        # p = w_a w_b^HALF: the w_a term and the w_b term are +-w_a w_b^e, so the derivation is 0
+        p = Poly.var("w_a") * power_of("w_b", HALF)
+        images = {
+            "w_a": Poly.var("w_a") * power_of("w_b", e - HALF),
+            "w_b": power_of("w_b", e - HALF + 1).scale(Fraction(-1, HALF)),
+        }
+        if e > LIMIT:
+            with pytest.raises(SizeLimitError):
+                derivation(p, images)
+        else:
+            assert not derivation(p, images)
 
 
 class TestExponentLimit:
