@@ -434,13 +434,17 @@ class Poly:
         key = _grlex_key(sorted(set(self.variables()) | set(divisor.variables())))
         lt_m = max(divisor._terms, key=key)
         lt_c = Fraction(divisor._terms[lt_m])
-        remainder = self
+        rest = [(m, c) for m, c in divisor._terms.items() if m != lt_m]
+        remainder = dict(self._terms)  # the leading term cancels; the rest of qc * divisor is subtracted in place
         quotient: dict[int, Rational] = {}
         while remainder:
-            rm = max(remainder._terms, key=key)
-            qm, qc = _mono_div(rm, lt_m), _norm_coeff(remainder._terms[rm] / lt_c)
-            quotient[qm] = quotient.get(qm, 0) + qc
-            remainder = remainder - Poly({qm: qc}) * divisor
+            rm = max(remainder, key=key)
+            qm, qc = _mono_div(rm, lt_m), _norm_coeff(remainder.pop(rm) / lt_c)
+            quotient[qm] = qc  # leading monomials strictly fall, so each qm is new
+            for m, c in _guarded({qm + dm: qc * dc for dm, dc in rest}).items():
+                c = remainder.pop(m, 0) - c
+                if c:
+                    remainder[m] = c
         return Poly(quotient)
 
     # -- serialization -----------------------------------------------------
@@ -450,7 +454,15 @@ class Poly:
         return [{"exponents": dict(m), "coeff": str(c)} for m, c in self.sorted_terms()]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """``to_json_obj`` dumped with sorted keys and no spaces, written term by term."""
+        names = self.variables()
+        fields = [(_SHIFT[v], json.dumps(v) + ":") for v in names]  # each name's JSON text once
+        key = _grlex_key(names)
+        out = []
+        for m in sorted(self._terms, key=key, reverse=True):
+            exps = ",".join([f + str(e) for s, f in fields if (e := m >> s & MAX_EXPONENT)])
+            out.append(f'{{"coeff":"{self._terms[m]}","exponents":{{{exps}}}}}')
+        return "[" + ",".join(out) + "]"
 
     @classmethod
     def from_json_obj(cls, obj: object) -> Poly:
@@ -458,36 +470,36 @@ class Poly:
             raise PolyParseError("polynomial JSON must be an array of terms")
         terms: dict[int, Rational] = {}
         for entry in obj:
-            if not isinstance(entry, dict) or set(entry) != {"exponents", "coeff"}:
+            if not isinstance(entry, dict) or entry.keys() != {"exponents", "coeff"}:
                 raise PolyParseError(f"bad term entry: {entry!r}")
             exps = entry["exponents"]
             if not isinstance(exps, dict):
                 raise PolyParseError("exponents must be an object")
+            mono = 0
             for v, e in exps.items():
-                if v == "" or type(e) is bool:
-                    raise PolyParseError(f"bad exponent entry {v!r}: {e!r}")
-            try:
-                mono = _encode(exps)
-            except ValueError as exc:
-                raise PolyParseError(str(exc)) from exc
+                # type() rather than isinstance(): a JSON true must not pass as the int 1
+                if v == "" or type(e) is not int or not 0 <= e <= MAX_EXPONENT:
+                    raise PolyParseError(f"bad exponent entry {v!r}: {e!r} (the limit is {MAX_EXPONENT})")
+                if e:
+                    mono |= e << _shift(v)
             raw = entry["coeff"]
-            # type() rather than isinstance(): a JSON true must not pass as the int 1
-            if not (type(raw) is int or (isinstance(raw, str) and _COEFF_RE.fullmatch(raw))):
-                raise PolyParseError(f"bad coefficient {raw!r}: need an integer or a p/q string")
-            try:
-                coeff = Fraction(raw)
-            except ZeroDivisionError as exc:
-                raise PolyParseError(f"bad coefficient {raw!r}") from exc
+            if type(raw) is not int:
+                if not (isinstance(raw, str) and _COEFF_RE.fullmatch(raw)):
+                    raise PolyParseError(f"bad coefficient {raw!r}: need an integer or a p/q string")
+                try:
+                    raw = Fraction(raw) if "/" in raw else int(raw)
+                except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or past the digit limit
+                    raise PolyParseError(f"bad coefficient {raw[:40]!r}: {exc}") from exc
             if mono in terms:
                 raise PolyParseError(f"duplicate monomial {dict(_decode(mono))!r}")
-            terms[mono] = coeff
+            terms[mono] = raw
         return cls(terms)
 
     @classmethod
     def from_json(cls, text: str) -> Poly:
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer past the digit limit
             raise PolyParseError(f"invalid JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 

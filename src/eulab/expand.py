@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import NotExpandableError, NotPalindromicError, NotSymmetricError, OutOfRangeError
@@ -131,17 +131,29 @@ def partial_gamma_expand(f: Poly, n: int) -> Expansion:
     return Expansion(basis="partial-gamma", coeffs=out, n=n)
 
 
-def _e_coefficient(mu: tuple[int, ...], lam: tuple[int, ...], memo: dict) -> int:
-    """[x^lam] e_mu_1 e_mu_2 ...: the 0-1 matrices with row sums mu and column sums lam."""
-    if not mu or max(lam, default=0) > len(mu):  # a column holds at most one 1 per row
-        return int(not any(lam))
-    if (mu, lam) not in memo:
-        total = 0  # row 1 has its mu_1 ones in positive columns; column order is immaterial
-        for cols in combinations([j for j, c in enumerate(lam) if c], mu[0]):
-            rest = sorted((c - (j in cols) for j, c in enumerate(lam)), reverse=True)
-            total += _e_coefficient(mu[1:], tuple(rest), memo)
-        memo[mu, lam] = total
-    return memo[mu, lam]
+def _e_coefficient(mu: tuple[int, ...], lam: Sequence[int], memo: dict) -> int:
+    """[x^lam] e_mu_1 e_mu_2 ... for weakly decreasing mu: the 0-1 matrices with row sums mu and column sums lam.
+
+    Column order is immaterial, so lam is sorted and its zeros dropped.  A matrix more than half full is counted
+    by its complement, rows of single 1s by the multinomial |mu|!/prod lam_j!, any other by row 1's columns.
+    """
+    lam = tuple(sorted(filter(None, lam), reverse=True))
+    count = memo.get((mu, lam))
+    if count is None:
+        r, m, total = len(mu), len(lam), sum(mu)
+        if total != sum(lam) or (lam and lam[0] > r) or (mu and mu[0] > m):
+            count = 0
+        elif 2 * total > r * m:
+            count = _e_coefficient(tuple(m - x for x in reversed(mu) if x < m), [r - c for c in lam], memo)
+        elif not mu or mu[0] == 1:
+            count = factorial(total) // prod(map(factorial, lam))
+        else:
+            count = sum(
+                _e_coefficient(mu[1:], [c - (j in cols) for j, c in enumerate(lam)], memo)
+                for cols in combinations(range(m), mu[0])
+            )
+        memo[mu, lam] = count
+    return count
 
 
 def _dominated(a: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -183,13 +195,13 @@ def esym_expand(f: Poly, variables: Sequence[str]) -> Expansion:
     table = f.exponent_table(variables)
     table = {a: c for a, c in table.items() if list(a) == sorted(a, reverse=True)}
     out: dict[tuple[int, ...], Rational] = {}
+    memo: dict = {}  # the count's states, shared by every step of this expansion
     while table:
         a = max(table, key=lambda vec: (sum(vec), vec))  # graded-lex leading partition
         c = table[a]
         b = tuple(ai - aj for ai, aj in zip(a, a[1:] + (0,)))
         out[b] = c
         mu = tuple(i for i in range(len(b), 0, -1) for _ in range(b[i - 1]))
-        memo: dict = {}  # per step: the next mu shares few states, and memory stays small
         for lam in _dominated(a):
             table[lam] = table.get(lam, 0) - c * _e_coefficient(mu, lam, memo)
         table = {lam: v for lam, v in table.items() if v}

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
 from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
-from .exactalg import Poly, sum_of_products
+from .exactalg import Poly, derivation, sum_of_products
 from .series import Series, egf_build
 
 Counterexample = dict
@@ -140,9 +140,10 @@ def _trivariate_egf(max_n: int, k: int | None) -> Iterator[Case]:
 
 def _trivariate_pde(order: int, k: int | None) -> Iterator[Case]:
     a = egf_build("trivariate", order)
-    x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
-    rhs = a * (y + s) + (a.diff_var("x") + a.diff_var("y") + a.diff_var("s")) * (x * y)
-    yield from _series_cases(a.diff_z(), rhs.truncate(order - 1), order - 1)
+    lhs, xy, y_plus_s = a.diff_z(), Poly.var("x") * Poly.var("y"), Poly.var("y") + Poly.var("s")
+    for n in range(order):  # n! [z^n] of a (y + s) + (da/dx + da/dy + da/ds) xy
+        h = a.egf_coefficient(n)
+        yield n, lhs.egf_coefficient(n), derivation(h, {"x": xy, "y": xy, "s": xy}) + h * y_plus_s, {}
 
 
 def _partial_gamma(max_n: int, k: int | None) -> Iterator[Case]:

@@ -10,6 +10,10 @@ Poly JSON of every coefficient of ``egf_build("trivariate", 10)``.
 Recorded at commit a7557aa, before the series stored divided-power numerators:
 the coefficient JSON of ``egf_build("trivariate", 20)``, of ``egf_build(name, 12)``
 for the other symbolic EGFs, and of ``egf_build("gamma-xy", 30)`` at two points.
+
+Recorded at commit 289f454, before ``_e_coefficient`` shared one memo per expansion
+and counted complements: the ``eulab expand esym`` output fed ``G9:4`` iterates 1 to 6,
+in five letters.
 """
 
 import contextlib
@@ -28,7 +32,7 @@ from eulab.cli import main
 DIGESTS = json.loads(Path(__file__).with_name("algebra_digests.json").read_text())
 
 #: iterate counts behind the esym pins, per multiplicity k of G9:k
-ESYM_STEPS = {2: range(1, 11), 3: range(1, 9)}
+ESYM_STEPS = {2: range(1, 11), 3: range(1, 9), 4: range(1, 7)}
 
 #: the symbolic EGFs pinned beyond ``egf_build("trivariate", 10)``, with their orders
 EGF_PINNED = (

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import prod
 
@@ -11,6 +12,15 @@ from eulab.errors import InexactDivisionError, PolyParseError
 from eulab.exactalg import Poly, elementary_symmetric, poly_sum
 
 x, y, s, z = Poly.var("x"), Poly.var("y"), Poly.var("s"), Poly.var("z")
+
+#: names that JSON escapes (a quote, a backslash, non-ASCII, a control character),
+#: registered in the reverse of their sorted order so that the field order differs from it
+WIRE_NAMES = ('wire_z"', "wire_y\\", "wire_x\u00e9", "wire_w\u2603", "wire_v\n")
+for _name in sorted(WIRE_NAMES, reverse=True):
+    Poly.var(_name)
+
+#: one wire-form term, for the rejection cases below
+TERM = {"exponents": {"x": 1}, "coeff": "1"}
 
 
 def brute_descent_poly(n):
@@ -186,6 +196,56 @@ class TestJson:
     @given(polys())
     def test_serialization_round_trip(self, p):
         assert Poly.from_json(p.to_json()).to_json() == p.to_json()
+
+    @given(st.lists(st.sampled_from(WIRE_NAMES + ("x", "s")), unique=True, max_size=4).flatmap(polys))
+    def test_text_is_the_canonical_dump_of_the_json_object(self, p):
+        assert p.to_json() == json.dumps(p.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        assert Poly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"not": "a list"},
+            [[1, 2]],
+            [{**TERM, "extra": 1}],
+            [{"exponents": {"x": 1}}],
+            [{"coeff": "1"}],
+            [{"exponents": [["x", 1]], "coeff": "1"}],
+            [{"exponents": {"x": 1.0}, "coeff": "1"}],
+            [{"exponents": {"x": -1}, "coeff": "1"}],
+            [{"exponents": {"x": True}, "coeff": "1"}],
+            [{"exponents": {"x": 32768}, "coeff": "1"}],
+            [{"exponents": {"x": "1"}, "coeff": "1"}],
+            [{"exponents": {"": 1}, "coeff": "1"}],
+            [{"exponents": {"x": 0}, "coeff": "1"}, {"exponents": {}, "coeff": "2"}],
+            [TERM, TERM],
+            [{"exponents": {}, "coeff": "1/0"}],
+            [{"exponents": {}, "coeff": "1.5"}],
+            [{"exponents": {}, "coeff": "1e3"}],
+            [{"exponents": {}, "coeff": " 1"}],
+            [{"exponents": {}, "coeff": "+1"}],
+            [{"exponents": {}, "coeff": "1_000"}],
+            [{"exponents": {}, "coeff": "\u0663"}],
+            [{"exponents": {}, "coeff": "1/-2"}],
+            [{"exponents": {}, "coeff": True}],
+            [{"exponents": {}, "coeff": 0.5}],
+            [{"exponents": {}, "coeff": None}],
+        ],
+    )
+    def test_every_rejection_is_a_parse_error(self, obj):
+        with pytest.raises(PolyParseError):
+            Poly.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "coeff", ["1" * 5000, '"%s"' % ("1" * 5000), '"1/%s"' % ("1" * 5000)], ids=["literal", "string", "denominator"]
+    )
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self, coeff):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{},"coeff":%s}]' % coeff)
+
+    def test_an_exponent_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(PolyParseError):
+            Poly.from_json('[{"exponents":{"x":%s},"coeff":1}]' % ("1" * 5000))
 
 
 class TestRingLaws:

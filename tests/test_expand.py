@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import hypothesis.strategies as st
@@ -256,6 +257,27 @@ def leading_partitions(draw):
     a = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)), reverse=True))
     b = tuple(ai - aj for ai, aj in zip(a, a[1:] + (0,)))
     return a, tuple(i for i in range(len(b), 0, -1) for _ in range(b[i - 1]))
+
+
+def zero_one_margins(rows, cols):
+    """How many rows x cols 0-1 matrices have each (row sums, column sums) pair, by listing them all."""
+    counts = Counter()
+    for bits in product((0, 1), repeat=rows * cols):
+        row_sums = tuple(sum(bits[i * cols : (i + 1) * cols]) for i in range(rows))
+        counts[row_sums, tuple(sum(bits[j::cols]) for j in range(cols))] += 1
+    return counts
+
+
+def test_e_coefficient_counts_zero_one_matrices():
+    """Every margin pair of at most 4 rows and 4 columns, lam in every order, through one memo."""
+    memo = {}
+    for rows, cols in product(range(5), repeat=2):
+        counts = zero_one_margins(rows, cols)
+        for mu in combinations_with_replacement(range(4, -1, -1), rows):
+            for lam in product(range(5), repeat=cols):
+                want = counts[mu, lam]
+                assert _e_coefficient(mu, lam, memo) == want, (mu, lam)
+                assert _e_coefficient(mu, tuple(sorted(lam, reverse=True)), memo) == want, (mu, lam)
 
 
 class TestDominanceFilter:

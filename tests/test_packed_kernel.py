@@ -303,6 +303,13 @@ class TestExponentLimit:
         else:
             assert p.subst({"w_a": Poly.var("w_c")}) == power_of("w_c", e)
 
+    @pytest.mark.parametrize("e", [LIMIT - 1, LIMIT, LIMIT + 1])
+    def test_divexact(self, e):
+        # the leading term of the divisor is w_b^2, so its other term meets the quotient term w_c^(e-1)
+        p, divisor = power_of("w_c", e - 1) * power_of("w_b", 2), power_of("w_b", 2) + Poly.var("w_c")
+        with pytest.raises(SizeLimitError if e > LIMIT else InexactDivisionError):
+            p.divexact(divisor)
+
 
 ORDER_SCRIPT = r"""
 import json, sys
