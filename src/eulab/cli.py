@@ -157,7 +157,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     out: dict = {
         "basis": expansion.basis,
         "coeffs": [
-            {"index": list(key), "coeff": str(c)} for key, c in expansion.sorted_items()
+            {"index": list(key), "coeff": str(c)} for key, c in sorted(expansion.coeffs.items())
         ],
     }
     if expansion.n is not None:

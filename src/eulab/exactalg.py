@@ -65,6 +65,8 @@ def _shift(name: str) -> int:
     """The bit offset of ``name``'s field, registering the name on first sight."""
     s = _SHIFT.get(name)
     if s is None:
+        if type(name) is not str or not name:  # the wire form could not name it
+            raise ValueError(f"a variable name must be a non-empty str, got {name!r}")
         global _GUARD
         s = len(_NAMES) * _FIELD_BITS
         _SHIFT[name] = s
@@ -74,13 +76,12 @@ def _shift(name: str) -> int:
 
 
 def _encode(exps: Mapping[str, int]) -> int:
-    """Pack an exponent mapping (zeros dropped); ValueError on a bad or too large exponent."""
+    """Pack an exponent mapping (zeros dropped); ValueError off the monomial rule that builders and reader share."""
     m = 0
     for v, e in exps.items():
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent of {v!r} must be a nonnegative int, got {e!r}")
-        if e > MAX_EXPONENT:
-            raise ValueError(f"exponent of {v!r} is {e}, above the limit {MAX_EXPONENT}")
+        # type() rather than isinstance(): True must not pass as the int 1
+        if v == "" or type(e) is not int or not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"bad exponent entry {v!r}: {e!r} (the limit is {MAX_EXPONENT})")
         if e:
             m |= e << _shift(v)
     return m
@@ -107,15 +108,13 @@ def _degree(m: int) -> int:
     return d
 
 
-def _grlex_key(universe: Sequence[str]) -> Callable[[int], tuple]:
-    """Graded-lex sort key of a packed monomial: total degree, then exponents along ``universe``."""
-    shifts = list(dict.fromkeys(_shift(v) for v in universe))  # a repeated name orders nothing more
-    outside = ~sum(MAX_EXPONENT << s for s in shifts)
+def _grlex_key(names: Sequence[str]) -> Callable[[int], tuple]:
+    """Graded-lex sort key of a packed monomial whose letters are among the sorted ``names``: degree, then exponents."""
+    shifts = [_shift(v) for v in names]
 
     def key(m: int) -> tuple:
         exps = tuple([m >> s & MAX_EXPONENT for s in shifts])
-        rest = m & outside
-        return (sum(exps) + _degree(rest) if rest else sum(exps), exps)
+        return (sum(exps), exps)
 
     return key
 
@@ -395,14 +394,6 @@ class Poly:
                     return False
         return True
 
-    def is_palindromic(self, var: str, n: int) -> bool:
-        """True iff [var^i] == [var^(n-i)] for all i (univariate input required)."""
-        coeffs = self.coeffs_in(var)
-        if len(coeffs) - 1 > n:
-            raise ValueError(f"degree {len(coeffs) - 1} exceeds palindrome center bound n={n}")
-        padded = coeffs + [0] * (n + 1 - len(coeffs))
-        return all(padded[i] == padded[n - i] for i in range(n + 1))
-
     def coeffs_in(self, var: str) -> list[Rational]:
         """Dense coefficient list of a polynomial univariate in ``var``."""
         extra = [v for v in self.variables() if v != var]
@@ -416,9 +407,9 @@ class Poly:
 
     # -- ordering, division ------------------------------------------------
 
-    def sorted_terms(self, universe: Sequence[str] | None = None) -> list[tuple[Mono, Rational]]:
+    def sorted_terms(self) -> list[tuple[Mono, Rational]]:
         """Terms sorted descending by graded-lex order (leading term first)."""
-        key = _grlex_key(universe if universe is not None else self.variables())
+        key = _grlex_key(self.variables())
         return [(_decode(m), c) for m, c in sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)]
 
     def divexact(self, divisor: Poly) -> Poly:
@@ -449,12 +440,9 @@ class Poly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_obj(self) -> list[dict]:
-        """Canonical JSON form: term list sorted leading-first by graded-lex."""
-        return [{"exponents": dict(m), "coeff": str(c)} for m, c in self.sorted_terms()]
-
     def to_json(self) -> str:
-        """``to_json_obj`` dumped with sorted keys and no spaces, written term by term."""
+        """Canonical JSON text: the terms leading-first by graded-lex, each
+        ``{"coeff":"p/q","exponents":{name:e,...}}`` with sorted keys and no spaces."""
         names = self.variables()
         fields = [(_SHIFT[v], json.dumps(v) + ":") for v in names]  # each name's JSON text once
         key = _grlex_key(names)
@@ -475,13 +463,10 @@ class Poly:
             exps = entry["exponents"]
             if not isinstance(exps, dict):
                 raise PolyParseError("exponents must be an object")
-            mono = 0
-            for v, e in exps.items():
-                # type() rather than isinstance(): a JSON true must not pass as the int 1
-                if v == "" or type(e) is not int or not 0 <= e <= MAX_EXPONENT:
-                    raise PolyParseError(f"bad exponent entry {v!r}: {e!r} (the limit is {MAX_EXPONENT})")
-                if e:
-                    mono |= e << _shift(v)
+            try:
+                mono = _encode(exps)
+            except ValueError as exc:
+                raise PolyParseError(str(exc)) from exc
             raw = entry["coeff"]
             if type(raw) is not int:
                 if not (isinstance(raw, str) and _COEFF_RE.fullmatch(raw)):

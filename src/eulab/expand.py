@@ -64,15 +64,17 @@ class Expansion:
             )
         raise ValueError(f"unknown basis {self.basis!r}")
 
-    def sorted_items(self) -> list[tuple[tuple[int, ...], Rational]]:
-        return sorted(self.coeffs.items())
+
+def _dense(f: Poly, var: str, n: int) -> list[Rational]:
+    """f's coefficients in var, padded to n + 1; a ValueError unless f is univariate of degree <= n."""
+    coeffs = f.coeffs_in(var)
+    if len(coeffs) - 1 > n:
+        raise ValueError(f"degree {len(coeffs) - 1} exceeds n={n}")
+    return coeffs + [0] * (n + 1 - len(coeffs))
 
 
 def _peel(coeffs: list[Rational], n: int, step: int, sign: int) -> dict[tuple[int, ...], Rational]:
-    """Peel c_k v^k (1 + sign*v)^(n - step*k) off a dense coefficient list, lowest k first."""
-    if len(coeffs) - 1 > n:
-        raise ValueError(f"degree {len(coeffs) - 1} exceeds n={n}")
-    coeffs = coeffs + [0] * (n + 1 - len(coeffs))
+    """Peel c_k v^k (1 + sign*v)^(n - step*k) off the n + 1 coefficients, lowest k first, in place."""
     out: dict[tuple[int, ...], Rational] = {}
     for k in range(n // step + 1):
         c = coeffs[k]
@@ -88,16 +90,17 @@ def _peel(coeffs: list[Rational], n: int, step: int, sign: int) -> dict[tuple[in
 
 def gamma_expand(f: Poly, var: str, n: int) -> Expansion:
     """Expand a palindromic polynomial in the basis v^k (1+v)^(n-2k)."""
-    if not f.is_palindromic(var, n):  # a ValueError unless univariate of degree <= n
+    coeffs = _dense(f, var, n)
+    if coeffs != coeffs[::-1]:
         raise NotPalindromicError(f"coefficients of {var}^i and {var}^(n-i) differ")
-    return Expansion(basis="gamma", coeffs=_peel(f.coeffs_in(var), n, 2, 1), n=n, var=var)
+    return Expansion(basis="gamma", coeffs=_peel(coeffs, n, 2, 1), n=n, var=var)
 
 
 def frobenius_expand(f: Poly, var: str, n: int) -> Expansion:
     """Expand a polynomial vanishing at 0 in the basis v^k (1-v)^(n-k), k >= 1."""
     if f.constant_term():
         raise NotExpandableError("constant term must vanish (expected the x*A_n(x) shape)")
-    return Expansion(basis="frobenius", coeffs=_peel(f.coeffs_in(var), n, 1, -1), n=n, var=var)
+    return Expansion(basis="frobenius", coeffs=_peel(_dense(f, var, n), n, 1, -1), n=n, var=var)
 
 
 def partial_gamma_expand(f: Poly, n: int) -> Expansion:

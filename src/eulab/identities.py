@@ -17,6 +17,7 @@ and series-order bounds) at its largest n before its first case, so a PASS at
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 from . import expand, grammar, permstats, stirlingperm, trees
 from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
 from .exactalg import Poly, derivation, sum_of_products
-from .series import Series, egf_build
+from .series import egf_build
 
 Counterexample = dict
 Case = tuple[int, object, object, dict]  # (n, lhs, rhs, extra fields of a counterexample)
@@ -67,7 +68,7 @@ class IdentityReport:
 def _wire(value: object) -> object:
     """One side of a case as JSON-ready data."""
     if isinstance(value, Poly):
-        return value.to_json_obj()
+        return json.loads(value.to_json())
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, frozenset):
@@ -83,12 +84,6 @@ def _first_mismatch(cases: Iterable[Case]) -> Counterexample | None:
         if lhs != rhs:
             return {"n": n, "lhs": _wire(lhs), "rhs": _wire(rhs), **extra}
     return None
-
-
-def _series_cases(lhs: Series, rhs: Series, order: int, **extra) -> Iterator[Case]:
-    """Compare two series by their EGF numerators n! [z^n] up to z^order."""
-    for n in range(order + 1):
-        yield n, lhs.egf_coefficient(n), rhs.egf_coefficient(n), extra
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +160,9 @@ def _forest_gamma(max_n: int, k: int | None) -> Iterator[Case]:
 def _convolution(max_n: int, k: int | None) -> Iterator[Case]:
     permstats.guard(max_n + 1)
     lhs = egf_build("bivariate", max_n) * egf_build("fixpoint", max_n)
-    yield from _series_cases(lhs, egf_build("trivariate", max_n), max_n, route="egf")
+    rhs = egf_build("trivariate", max_n)
+    for n in range(max_n + 1):  # the EGF numerators n! [z^n]
+        yield n, lhs.egf_coefficient(n), rhs.egf_coefficient(n), {"route": "egf"}
     for n in range(max_n + 1):
         direct = sum_of_products(
             (comb(n, i), permstats.perm_poly(i, "bivariate"), permstats.perm_poly(n - i, "fixpoint"))
@@ -269,7 +266,7 @@ def _mainthm_esym(max_n: int, k: int | None) -> Iterator[Case]:
 def _histogram_independence(max_n: int, k: int | None) -> Iterator[Case]:
     trees.guard(max_n, trees.default_spec("deghist"))  # the whole range: the largest family
     for n in range(2, max_n + 1):
-        base = trees.tree_weight_poly(n, "deghist", None)
+        base = trees.tree_weight_poly(n, "deghist")
         for kk in (n - 2, n - 1, n):
             yield n, trees.tree_weight_poly(n, "deghist", kk + 1), base, {"k": kk}
 

@@ -137,9 +137,6 @@ class Series:
         n = min(self.order, other.order)
         return Series._of([self.h[i] - other.h[i] for i in range(n + 1)], n)
 
-    def __neg__(self) -> Series:
-        return Series._of([-c for c in self.h], self.order)
-
     def __mul__(self, other: Series | PolyLike) -> Series:
         if isinstance(other, (Poly, int, Fraction)):
             p = _as_poly(other)
@@ -194,10 +191,6 @@ class Series:
         if self.order == 0:
             raise ValueError("d/dz of a series of order 0 has no known coefficient")
         return Series._of(self.h[1:], self.order - 1)
-
-    def diff_var(self, var: str) -> Series:
-        """Coefficientwise partial derivative in a non-z variable."""
-        return Series._of([c.diff(var) for c in self.h], self.order)
 
     def specialize(self, assignment: Mapping[str, PolyLike]) -> Series:
         sub = {v: _as_poly(p) for v, p in assignment.items()}

@@ -114,6 +114,13 @@ class TestGammaExpand:
         with pytest.raises(NotPalindromicError):
             gamma_expand(1 + 2 * x, "x", 1)
 
+    def test_reads_one_letter_up_to_degree_n(self):
+        assert gamma_expand(x, "x", 2).coeffs == {(1,): 1}  # [0, 1] is compared padded, as [0, 1, 0]
+        with pytest.raises(ValueError, match="not univariate"):
+            gamma_expand(x + y, "x", 1)
+        with pytest.raises(ValueError, match="degree 2 exceeds n=1"):
+            gamma_expand(1 + 4 * x + x**2, "x", 1)
+
 
 class TestFrobeniusExpand:
     def test_three_letters(self):

@@ -269,6 +269,50 @@ def test_verify_all_walks_each_object_set_once(monkeypatch):
     assert {key: c for key, c in runs.items() if c > 1} == {}
 
 
+def test_each_tree_family_is_one_cache_entry():
+    """Both readers of the deghist family ask for it the same way, so each walk is one tree_weight_poly entry."""
+    trees.tree_weight_poly.cache_clear()
+    trees._walk.cache_clear()
+    assert verify("histogram-independence").passed and verify("final-corollary").passed
+    assert trees.tree_weight_poly.cache_info().misses == trees._walk.cache_info().misses
+
+
+#: identity -> (max_n, cases compared, largest n) at its default range
+CHECKED = {
+    "andre": (7, 8, 7),
+    "chenfu-esym": (6, 6, 6),
+    "cn2-closed-form": (20, 19, 20),
+    "convolution": (7, 16, 7),
+    "diaconis": (7, 7, 7),
+    "final-corollary": (7, 42, 7),
+    "forest-gamma": (7, 8, 7),
+    "frobenius": (8, 8, 8),
+    "gamma-2n-2n": (8, 13, 9),
+    "gamma-eulerian": (8, 8, 8),
+    "gamma-xy-closed-form": (7, 8, 7),
+    "histogram-independence": (6, 15, 6),
+    "kth-grammar": (5, 20, 5),
+    "mainthm-esym": (5, 45, 5),
+    "partial-gamma": (7, 8, 7),
+    "roselle": (7, 112, 7),
+    "second-order-grammar": (6, 12, 6),
+    "stembridge": (8, 8, 8),
+    "transform-catalog": (0, 10, 0),
+    "trivariate-egf": (7, 8, 7),
+    "trivariate-grammar": (7, 8, 7),
+    "trivariate-pde": (8, 8, 7),
+}
+
+
+def test_each_check_compares_the_pinned_cases():
+    """A PASS says nothing of what was compared; this pins the cases and the n they reach."""
+    got = {}
+    for name, entry in _REGISTRY.items():
+        ns = [n for n, *_ in entry.fn(entry.default_max_n, None)]
+        got[name] = (entry.default_max_n, len(ns), max(ns))
+    assert got == CHECKED
+
+
 def test_transform_catalog_checks_one_multiplicity():
     def g9_pairs(k):
         cases = _REGISTRY["transform-catalog"].fn(0, k)

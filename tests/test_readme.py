@@ -1,13 +1,16 @@
-"""The names the README lists are the names the code knows."""
+"""The names the README and the benchmark's tracer list are the names the code knows."""
 
+import ast
 import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 from eulab import cli, exactalg, expand, grammar, identities, permstats, series, stirlingperm, trees
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def names(pattern: str) -> list[str]:
@@ -56,3 +59,26 @@ def test_guard_limits(phrase, limit):
     assert match, phrase
     base, _, power = match.group(1).partition("^")
     assert int(base) ** int(power or 1) == limit
+
+
+def traced_entry_points() -> list[str]:
+    """The "module:attribute" entry points of ``LAYERS`` in bench/tracing.py, read as text, not imported."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (layers,) = [node.value for node in tree.body if isinstance(node, ast.AnnAssign) and node.target.id == "LAYERS"]
+    return [point for points in ast.literal_eval(layers).values() for point in points]
+
+
+#: traced names the package no longer has; the tracer reads zero for them
+STALE_ENTRY_POINTS = {"eulab.series:Series.compose"}
+
+
+def test_every_traced_entry_point_resolves():
+    missing = []
+    for point in traced_entry_points():
+        module, path = point.split(":")
+        value = import_module(module)
+        for attr in path.split("."):
+            value = getattr(value, attr, None)
+        if value is None:
+            missing.append(point)
+    assert sorted(set(missing) - STALE_ENTRY_POINTS) == []
