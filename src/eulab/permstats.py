@@ -9,7 +9,9 @@ then makes one prefix walk that records the joint distribution of
 (des, suc, exc, fix, ddes, ipk, pi(1) > 1) together with the counts by
 succession set and by restricted fixed-point set.  Every weight polynomial
 (``perm_poly``), the set profiles (``diaconis_profile``) and the
-(asc, suc) counts (``asc_suc_counts``) are projections of that cached table.
+(asc, suc) counts (``asc_suc_counts``) are projections of that cached table:
+``_project`` sums the counts by each key's exponent tuple, so a family packs
+one monomial per distinct tuple, not one per joint key.
 
 The walk places the values left to right in lexicographic order and shares
 prefixes (Knuth, TAOCP 4A, 7.2.1.2), so each position's statistics are
@@ -134,19 +136,29 @@ def _asc(n: int, k: _Key) -> int:
     return max(n - 1, 0) - k.des
 
 
-#: family -> exponents of one joint-table key at size n, or None to leave it out
-_PROJECTIONS: dict[str, Callable[[int, _Key], "dict[str, int] | None"]] = {
-    "eulerian": lambda n, k: {"x": k.des},
-    "trivariate": lambda n, k: {"x": _asc(n, k) - k.suc, "y": k.des, "s": k.suc},
-    "fixpoint": lambda n, k: {"x": k.exc, "y": n - k.exc - k.fix, "s": k.fix},
-    "bivariate": lambda n, k: {"x": _asc(n, k), "y": k.des + 1},
-    "derangement": lambda n, k: {"x": k.exc} if k.fix == 0 else None,
-    "no-succession-first-not-1": lambda n, k: {"x": k.des} if k.suc == 0 and k.first_gt_1 else None,
-    "gamma-eulerian-no-ddes": lambda n, k: {"x": k.des} if k.ddes == 0 else None,
-    "peak": lambda n, k: {"x": k.ipk},
+#: family -> (its letters, the exponent tuple of one joint-table key at size n, or None to leave it out)
+_PROJECTIONS: dict[str, tuple[tuple[str, ...], Callable[[int, _Key], "tuple[int, ...] | None"]]] = {
+    "eulerian": (("x",), lambda n, k: (k.des,)),
+    "trivariate": (("x", "y", "s"), lambda n, k: (_asc(n, k) - k.suc, k.des, k.suc)),
+    "fixpoint": (("x", "y", "s"), lambda n, k: (k.exc, n - k.exc - k.fix, k.fix)),
+    "bivariate": (("x", "y"), lambda n, k: (_asc(n, k), k.des + 1)),
+    "derangement": (("x",), lambda n, k: (k.exc,) if k.fix == 0 else None),
+    "no-succession-first-not-1": (("x",), lambda n, k: (k.des,) if k.suc == 0 and k.first_gt_1 else None),
+    "gamma-eulerian-no-ddes": (("x",), lambda n, k: (k.des,) if k.ddes == 0 else None),
+    "peak": (("x",), lambda n, k: (k.ipk,)),
 }
 
 FAMILIES = tuple(_PROJECTIONS)
+
+
+def _project(n: int, exponents: Callable[[int, _Key], "tuple[int, ...] | None"]) -> dict[tuple[int, ...], int]:
+    """The counts of S_n summed by the exponent tuple of each joint key (None leaves a key out)."""
+    out: dict[tuple[int, ...], int] = {}
+    for k, count in _perm_table(n).joint.items():
+        e = exponents(n, k)
+        if e is not None:
+            out[e] = out.get(e, 0) + count
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -162,14 +174,13 @@ def perm_poly(n: int, family: str) -> Poly:
     gamma-eulerian-no-ddes     sum over double-descent-free pi of x^des
     peak                       sum x^(interior peaks)
     """
-    project = _PROJECTIONS.get(family)
-    if project is None:
+    if family not in _PROJECTIONS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    joint = _perm_table(n).joint
+    letters, exponents = _PROJECTIONS[family]
+    counts = _project(n, exponents)
     if n == 0:
         return Poly.one()
-    projected = ((project(n, key), count) for key, count in joint.items())
-    return Poly.from_exponents(pair for pair in projected if pair[0] is not None)
+    return Poly.from_exponents((dict(zip(letters, e)), count) for e, count in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +202,4 @@ def diaconis_profile(n: int) -> tuple[dict[frozenset[int], int], dict[frozenset[
 @lru_cache(maxsize=None)
 def asc_suc_counts(n: int) -> dict[tuple[int, int], int]:
     """Joint distribution #{pi : asc = r, suc = s} by direct counting."""
-    out: dict[tuple[int, int], int] = {}
-    for k, count in _perm_table(n).joint.items():
-        pair = (_asc(n, k), k.suc)
-        out[pair] = out.get(pair, 0) + count
-    return out
+    return _project(n, lambda n, k: (_asc(n, k), k.suc))

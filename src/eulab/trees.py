@@ -18,6 +18,9 @@ below their degree bound, as a list of states, and the tree's statistics as
 one packed int key, 16 bits per field, as ``exactalg`` packs exponents
 (Monagan--Pearce, CASC 2007).  An attachment adds a precomputed int to the
 key, and every tree adds 1 to its key's count, so the route stays exhaustive.
+The last ``_TAIL`` labels are placed from a memo local to each walk: for the
+labels left and the multiset of open states it lists the key steps of every
+way to place them, one element per tree, so the count is still by trees.
 The walk is cached: each family is walked once per n for every weighting.
 ``guard`` refuses an n past the walk's depth bound, then counts the family
 over multisets of the same states (``tree_count``) until past the 10^7 limit.
@@ -35,6 +38,7 @@ from .exactalg import Poly
 
 TREE_GUARD = 10**7
 MAX_DEPTH = 500  # labels per walk: well inside the recursion limit, and far below MAX_EXPONENT
+_TAIL = 3  # labels each walk places from its memo; andre n = 10 peaks at 176 KB with 3, 780 KB with 4
 
 KINDS = ("nonplane", "plane", "forest012")
 
@@ -135,21 +139,35 @@ def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
     Field j of a key (bits 16j and up) counts the vertices of degree j, and
     the last field, ``root_leaf``, the leaf children of the root.  Attaching
     a child replaces the parent's state in ``opened`` by those that grow from
-    it, and backtracking puts it back.  The last two labels are placed inline:
-    the choices of label n-1 below vertices in one state share one list of
-    label n's steps, a plane vertex's gaps one step each, and every tree adds
-    1 to its key's count as one element of that list.
+    it, and backtracking puts it back.  The last ``_TAIL`` labels come from a
+    memo local to the walk, keyed by the labels left and the sorted open
+    states: its list holds the key steps of the ways to place them, one
+    element per way, so every tree adds 1 to its key's count.
     """
     guard(n, spec)
     table = _states(n, spec)
-    last = [[step] * positions for step, _, positions in table]
-    gained = [[t for g in grown for t in last[g]] for _, grown, _ in table]
     opened = [0]  # a root with bound 0 offers no position
     counts: Counter = Counter()
+    memo: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+    def tails(left: int, shape: tuple[int, ...]) -> list[int]:  # the last labels below the sorted open states
+        if not left:
+            return [0]
+        steps = memo.get((left, shape))
+        if steps is None:
+            steps = []
+            for s in dict.fromkeys(shape):
+                step, grown, positions = table[s]
+                rest = [*shape, *grown]
+                rest.remove(s)
+                below = tails(left - 1, tuple(sorted(rest)))
+                steps += [*map(step.__add__, below)] * (shape.count(s) * positions)
+            memo[left, shape] = steps
+        return steps
 
     def grow(m: int, key: int) -> None:  # labels m..n
-        if m == n - 1:
-            return last_two(key)
+        if n - m < _TAIL:
+            return counts.update(map(key.__add__, tails(n - m + 1, tuple(sorted(opened)))))
         for i, s in enumerate(opened):
             step, grown, positions = table[s]
             opened[i : i + 1] = grown
@@ -157,21 +175,7 @@ def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
                 grow(m + 1, key + step)
             opened[i : i + len(grown)] = (s,)
 
-    def last_two(key: int) -> None:
-        steps = [t for s in opened for t in last[s]]
-        keys: list[int] = []
-        for s in dict.fromkeys(opened):
-            step, _, positions = table[s]
-            tail = steps + gained[s]
-            for _ in range(positions):  # the parent's old steps go; equal steps are interchangeable
-                tail.remove(step)
-            keys += [*map((key + step).__add__, tail)] * (opened.count(s) * positions)
-        counts.update(keys)
-
-    if n > spec.root + 1:
-        grow(spec.root + 1, 1)
-    else:  # the root alone, or one label below it
-        counts.update(map((1).__add__, last[0]) if n > spec.root else [1])
+    grow(spec.root + 1, 1)
     return counts
 
 

@@ -315,6 +315,35 @@ class TestOpenVertexWalk:
         want = Counter(pack(state) for _, state in tree_walk(n, spec))
         assert trees_mod._walk(n, spec) == want
 
+    @pytest.mark.parametrize("spec", WALKED, ids=lambda s: f"{s.kind}-{s.maxdeg}")
+    def test_memo_depth_does_not_change_the_walk(self, spec, monkeypatch):
+        # from the whole walk out of the memo (tail n - root + 1) down to one label from it
+        for n in range(spec.root, 8):
+            want = Counter(pack(state) for _, state in tree_walk(n, spec))
+            for tail in range(1, n - spec.root + 2):
+                monkeypatch.setattr(trees_mod, "_TAIL", tail)
+                assert trees_mod._walk.__wrapped__(n, spec) == want, (n, tail)
+
+    def test_tails_are_read_once_per_prefix_tree(self, monkeypatch):
+        # andre n = 10 places labels 8..10 from the memo below each tree on {0..7}, one update each
+        made, updates = [], []
+
+        class Spy(Counter):
+            def __init__(self, *args):
+                made.append(self)
+                super().__init__(*args)
+
+            def update(self, *args, **kwds):
+                updates.append(self)
+                super().update(*args, **kwds)
+
+        spec = FamilySpec("nonplane", 2)
+        monkeypatch.setattr(trees_mod, "Counter", Spy)
+        walked = trees_mod._walk.__wrapped__(10, spec)
+        assert sum(walked.values()) == tree_count(10, spec) == 353792
+        # each Counter made calls update once, from __init__
+        assert len(updates) - len(made) == tree_count(7, spec) == 1385
+
     def test_small_families_by_hand(self):
         walk = trees_mod._walk
         assert walk(0, FamilySpec("nonplane", 2)) == {1: 1}  # the root alone
