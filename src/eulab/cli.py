@@ -5,8 +5,9 @@
     eulab expand <basis> [--n N] [--var V]    (reads Poly JSON on stdin)
 
 Exit codes: 0 pass, 1 identity failure, 2 usage, 3 size guard exceeded,
-4 parse or precondition error.  ``verify`` reports every identity it ran and
-exits 3 if any hit a size guard, else 1 if any did not pass, else 0.  Table
+4 parse or precondition error, 5 internal error.  ``verify`` reports every
+identity it ran and exits 5 if any checker raised an unexpected exception,
+else 3 if any hit a size guard, else 1 if any did not pass, else 0.  Table
 and expand output is byte-identical across identical invocations; verify
 output includes wall times, which are the one intentionally non-reproducible
 field.
@@ -29,6 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SIZE_GUARD = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5  # a checker raised an unexpected exception
 
 def _dump(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -57,6 +59,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     guarded = [r for r in reports if r.status == "guard"]
     for r in guarded:
         print(f"size guard: {r.note}", file=sys.stderr)
+    broken = [r for r in reports if r.status == "error"]
+    for r in broken:
+        print(f"internal error in {r.name}: {r.note}", file=sys.stderr)
+        if r.traceback:
+            print(r.traceback, end="", file=sys.stderr)
+    if broken:
+        return EXIT_INTERNAL
     if guarded:
         return EXIT_SIZE_GUARD
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL

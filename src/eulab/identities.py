@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from traceback import format_exc
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
@@ -37,10 +38,11 @@ Case = tuple[int, object, object, dict]  # (n, lhs, rhs, extra fields of a count
 class IdentityReport:
     name: str
     params: dict
-    status: str  # "pass" | "fail" | "guard" (a size guard stopped it) | "empty" (max_n below min_n)
+    status: str  # "pass" | "fail" | "guard" (a size guard stopped it) | "empty" (max_n below min_n) | "error"
     counterexample: Counterexample | None
     seconds: float
     note: str | None = None
+    traceback: str | None = None  # where an "error" was raised, for stderr; not part of the JSON report
 
     @property
     def passed(self) -> bool:
@@ -93,12 +95,15 @@ def _first_mismatch(cases: Iterable[Case]) -> Counterexample | None:
 
 def _frobenius(max_n: int, k: int | None) -> Iterator[Case]:
     permstats.guard(max_n)
+    expand.triangle_guard(max_n)
     x = Poly.var("x")
     for n in range(1, max_n + 1):
-        lhs = x * permstats.perm_poly(n, "eulerian")
+        eulerian = permstats.perm_poly(n, "eulerian")
         surjections = {(m,): expand.triangle("surjection", n, m) for m in range(1, n + 1)}
         rhs = expand.Expansion("frobenius", surjections, n=n, var="x").reconstruct()
-        yield n, lhs, rhs, {}
+        yield n, x * eulerian, rhs, {}
+        row = Poly.from_exponents(({"x": m}, expand.triangle("eulerian", n, m)) for m in range(n + 1))
+        yield n, eulerian, row, {"route": "triangle"}
 
 
 def _gamma_eulerian(max_n: int, k: int | None) -> Iterator[Case]:
@@ -364,7 +369,10 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     Any other ``EngineError`` or ``ValueError`` raised while the cases run
     means a route broke a precondition of what reads it: it is reported as
     ``"fail"`` with no counterexample and the exception's type and message
-    as the note.  A ``k`` below 1, or for an identity that takes none, raises
+    as the note.  Any other exception means the checker itself broke: it is
+    reported as ``"error"``, with its type and message as the note and its
+    traceback kept on the report, so the rest of a catalog run can go on.
+    A ``k`` below 1, or for an identity that takes none, raises
     ``InvalidParamError`` before the check.
     """
     entry = _REGISTRY.get(name)
@@ -389,6 +397,9 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     except (EngineError, ValueError) as exc:  # a route's output broke a solver's or a table's precondition
         note = f"{type(exc).__name__}: {exc}"
         return IdentityReport(name, params, "fail", None, time.perf_counter() - start, note)
+    except Exception as exc:  # a broken checker is not a failed claim
+        note = f"{type(exc).__name__}: {exc}"
+        return IdentityReport(name, params, "error", None, time.perf_counter() - start, note, format_exc())
     return IdentityReport(
         name=name,
         params=params,

@@ -17,10 +17,15 @@ The walk places the values left to right in lexicographic order and shares
 prefixes (Knuth, TAOCP 4A, 7.2.1.2), so each position's statistics are
 settled once per prefix, not once per permutation: placing b at position j
 settles the excedance or fixed point at j, the pair (j-1, j) and the triple
-centred at j-1.  The statistics ride along as one packed int key, 4 bits per
-field, and the two sets as bitmasks.  The last value is placed inline, and
-every permutation adds 1 to each of the three counts, so the route stays
-exhaustive.
+centred at j-1.  The statistics ride along as one packed int: the joint key,
+4 bits per field, with the succession and fixed-point sets as bitmasks above
+it.  The last ``_TAIL`` positions are placed from a memo local to each
+sweep: for the values left, the value before them and what a descent there
+adds, it lists the packed steps of every way to place them, one element per
+permutation.  Every permutation adds 1 to the count of its joint key and to
+that of its pair of sets, so the route stays exhaustive; the two set
+profiles are summed from the pairs after the walk (990 pairs for S_8's
+40 320 permutations).
 
 Descents/ascents use the boundary-free convention (indices in [n-1]); only
 double descents use the padded convention pi(0) = pi(n+1) = 0, and interior
@@ -62,6 +67,11 @@ class _Key(NamedTuple):
 
 #: units of the packed joint-table key, 4 bits per field in ``_Key`` order (n <= 10 < 16)
 _DES, _SUC, _EXC, _FIX, _DDES, _IPK, _FIRST_GT_1 = (1 << 4 * i for i in range(7))
+#: a walk's packed int: the joint key in bits 0-27, the succession set from bit 28, the fixed-point set from bit 39
+_SUC_AT, _FIX_AT = 28, 39
+_KEY_BITS, _SUC_BITS = (1 << _SUC_AT) - 1, (1 << _FIX_AT - _SUC_AT) - 1
+_FALL = _DES + _DDES  # what a descent adds right after a descent: it makes a double descent
+_TAIL = 3  # positions each sweep places from its memo; one S_8 sweep peaks at 0.6 MB with 3, 1.0 MB with 4
 
 
 def _mask_set(mask: int) -> frozenset[int]:
@@ -78,50 +88,70 @@ class _PermTable(NamedTuple):
 def _perm_table(n: int) -> _PermTable:
     """The one sweep of S_n: joint key counts and the two set profiles.
 
-    ``grow(j, rest, key, suc_mask, fix_mask, a, down)`` places each value b
-    of ``rest`` at position j after a = pi(j-1); ``down`` is what a descent
-    there adds to the key: des, and a double descent after a fall or an
-    interior peak after a rise.  Bit i of the succession mask marks
-    pi(i+1) = pi(i) + 1, and bit i of the fixed-point mask pi(i) = i for
-    i <= n-1.  At j = n-1 the last value is ``rest[1 - idx]``, placed inline.
+    ``grow(j, rest, packed, a, down)`` places each value b of ``rest`` at
+    position j after a = pi(j-1) (a = 0 before position 1) and adds
+    ``moves[j][a][b]`` to the packed int, plus ``down`` on a descent: des,
+    and a double descent after a fall or an interior peak after a rise.  Bit
+    i of the succession set marks pi(i+1) = pi(i) + 1, and bit i of the
+    fixed-point set pi(i) = i for i <= n-1; each bit is set once, so adding
+    never carries.  The last ``_TAIL`` positions come from a memo local to
+    the sweep, keyed by the values left, a and down: its list holds the
+    packed steps of the ways to place them, one element per permutation, so
+    every permutation adds 1 to the count of its joint key (bits 0-27) and
+    to that of its pair of sets (the bits above), which the walk's end
+    splits into the two profiles.
     """
     guard(n)
     joint: dict[int, int] = {}
     by_suc: dict[int, int] = {}
     by_fix: dict[int, int] = {}
-    # b at j is an excedance (at j = 1 also pi(1) > 1) or a fixed point, with its mask bit if j < n
-    here = [[_EXC + (j == 1) * _FIRST_GT_1 if b > j else _FIX * (b == j) for b in range(n + 1)] for j in range(n + 1)]
-    fixed = [[(b == j < n) << j for b in range(n + 1)] for j in range(n + 1)]
-    last = n - 1
+    sets: dict[int, int] = {}  # the succession set in bits 0-10, the fixed-point set above
+    memo: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
 
-    def grow(j: int, rest: list[int], key: int, suc_mask: int, fix_mask: int, a: int, down: int) -> None:
-        here_j, fixed_j, bit = here[j], fixed[j], 1 << j - 1
-        rise = _DES + _IPK if j > 1 else _DES  # pi(0) < pi(1) is no peak's rise
+    def move(j: int, a: int, b: int) -> int:
+        if b > j:  # an excedance, at j = 1 also pi(1) > 1
+            step = _EXC + (j == 1) * _FIRST_GT_1
+        else:  # a fixed point, with its bit if j < n
+            step = (b == j) * (_FIX + ((j < n) << _FIX_AT + j))
+        if a > b:  # and at j = n, pi(n) > pi(n+1) = 0 closes a double descent
+            return step + (j == n) * _DDES
+        return step + (0 < a == b - 1) * (_SUC + (1 << _SUC_AT + j - 1))
+
+    moves = [[[move(j, a, b) for b in range(n + 1)] for a in range(n + 1)] for j in range(n + 1)]
+    rises = [_DES + _IPK * (j > 1) for j in range(n + 1)]  # pi(0) < pi(1) is no peak's rise
+
+    def tails(rest: tuple[int, ...], a: int, down: int) -> list[int]:  # the last positions, from the memo
+        if not rest:
+            return [0]
+        steps = memo.get((rest, a, down))
+        if steps is None:
+            j = n + 1 - len(rest)
+            moves_ja, rise, steps = moves[j][a], rises[j], []
+            for idx, b in enumerate(rest):
+                step = moves_ja[b] + down if a > b else moves_ja[b]
+                steps += map(step.__add__, tails(rest[:idx] + rest[idx + 1 :], b, _FALL if a > b else rise))
+            memo[rest, a, down] = steps
+        return steps
+
+    def grow(j: int, rest: tuple[int, ...], packed: int, a: int, down: int) -> None:
+        if n - j < _TAIL:
+            for step in tails(rest, a, down):
+                p = packed + step
+                k, m = p & _KEY_BITS, p >> _SUC_AT
+                joint[k] = joint.get(k, 0) + 1
+                sets[m] = sets.get(m, 0) + 1
+            return
+        moves_ja, rise = moves[j][a], rises[j]
         for idx, b in enumerate(rest):
-            k, s, f = key + here_j[b], suc_mask, fix_mask | fixed_j[b]
-            if a > b:
-                k, d = k + down, _DES + _DDES
-            else:
-                d = rise
-                if b == a + 1:
-                    k, s = k + _SUC, s | bit
-            if j < last:
-                grow(j + 1, rest[:idx] + rest[idx + 1 :], k, s, f, b, d)
-                continue
-            c = rest[1 - idx]
-            k += here[n][c]
-            if b > c:  # and pi(n) > pi(n+1) = 0 closes a double descent at n
-                k += d + _DDES
-            elif c == b + 1:
-                k, s = k + _SUC, s | 1 << last
-            joint[k] = joint.get(k, 0) + 1
-            by_suc[s] = by_suc.get(s, 0) + 1
-            by_fix[f] = by_fix.get(f, 0) + 1
+            step = moves_ja[b] + down if a > b else moves_ja[b]
+            grow(j + 1, rest[:idx] + rest[idx + 1 :], packed + step, b, _FALL if a > b else rise)
 
-    if n > 1:  # a = -1 stands for pi(0) = 0: below every value, with no succession into pi(1)
-        grow(1, list(range(1, n + 1)), 0, 0, 0, -1, 0)
-    else:  # the empty permutation, or 1 with its fixed point at n
-        joint[_FIX * n] = by_suc[0] = by_fix[0] = 1
+    grow(1, tuple(range(1, n + 1)), 0, 0, 0)
+    memo.clear()  # so the memo and the built table are never held at once
+    for m, c in sets.items():
+        s, f = m & _SUC_BITS, m >> _FIX_AT - _SUC_AT
+        by_suc[s] = by_suc.get(s, 0) + c
+        by_fix[f] = by_fix.get(f, 0) + c
     return _PermTable(
         {
             _Key(k & 15, k >> 4 & 15, k >> 8 & 15, k >> 12 & 15, k >> 16 & 15, k >> 20 & 15, k >= _FIRST_GT_1): c

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from eulab import grammar, permstats
+from eulab import grammar, identities, permstats
 from eulab.cli import _TABLES, main
 from eulab.errors import InvalidParamError
 from eulab.exactalg import MAX_EXPONENT, Poly
+from eulab.identities import IdentityReport
 from eulab.permstats import perm_poly
 
 x = Poly.var("x")
@@ -84,6 +85,43 @@ class TestVerify:
             assert "counterexample" not in reports[name]
         assert reports["frobenius"]["status"] == "fail"
         assert reports["andre"]["status"] == "pass"
+
+    def test_a_broken_checker_is_an_internal_error(self, capsys, monkeypatch):
+        """An exception no route documents is that identity's ERROR, not a FAIL and not a
+        crash: every identity is still reported, and the run exits 5."""
+        read = permstats.perm_poly
+
+        def planted(n, family):
+            if n == 5:
+                raise KeyError(family)
+            return read(n, family)
+
+        monkeypatch.setattr(permstats, "perm_poly", planted)
+        code, out, err = run(capsys, ["verify", "all", "--json"])
+        assert code == 5
+        reports = {r["identity"]: r for r in json.loads(out)}
+        assert len(reports) == 22
+        broken = {name for name, r in reports.items() if r["status"] == "error"}
+        assert broken == {
+            "convolution", "frobenius", "gamma-eulerian", "partial-gamma",
+            "stembridge", "trivariate-egf", "trivariate-grammar",
+        }
+        assert reports["frobenius"]["note"] == "KeyError: 'eulerian'"
+        assert all(r["status"] == "pass" for name, r in reports.items() if name not in broken)
+        assert err.count("internal error in ") == err.count("Traceback (most recent call last)") == len(broken)
+        assert "raise KeyError(family)" in err
+
+    def test_an_internal_error_outranks_a_guard(self, capsys, monkeypatch):
+        reports = [
+            IdentityReport("a", {}, "fail", None, 0.0),
+            IdentityReport("b", {}, "guard", None, 0.0, "too large"),
+            IdentityReport("c", {}, "error", None, 0.0, "KeyError: 5"),
+        ]
+        monkeypatch.setattr(identities, "verify_all", lambda max_n, k: reports)
+        code, _, err = run(capsys, ["verify", "all", "--json"])
+        assert (code, err) == (5, "size guard: too large\ninternal error in c: KeyError: 5\n")
+        monkeypatch.setattr(identities, "verify_all", lambda max_n, k: reports[:2])
+        assert run(capsys, ["verify", "all", "--json"])[0] == 3
 
     def test_a_bad_histogram_entry_is_a_reported_failure(self, capsys, monkeypatch):
         """A histogram entry off the theorem's shape fails the identities that read the table."""

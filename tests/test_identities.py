@@ -195,8 +195,7 @@ _PLANTED_ROWS = [
     # x(x-1)(x-2) y^3 vanishes at x = 0, 1, 2, so a check at points with those x
     # values would miss it; comparing whole polynomials does not
     ("gamma-n-xy-poly", 5, lambda row: row + _x * (_x - 1) * (_x - 2) * _y**3, {"gamma-xy-closed-form": 5}),
-    # no identity reads this triangle: only `table eulerian` and the tests do
-    ("eulerian", 3, _bump_entry_2, {}),
+    ("eulerian", 3, _bump_entry_2, {"frobenius": 3}),
 ]
 
 
@@ -286,7 +285,7 @@ CHECKED = {
     "diaconis": (7, 7, 7),
     "final-corollary": (7, 42, 7),
     "forest-gamma": (7, 8, 7),
-    "frobenius": (8, 8, 8),
+    "frobenius": (8, 16, 8),
     "gamma-2n-2n": (8, 13, 9),
     "gamma-eulerian": (8, 8, 8),
     "gamma-xy-closed-form": (7, 8, 7),

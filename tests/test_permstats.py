@@ -265,6 +265,32 @@ class TestOneSweepTable:
         for n in range(10):
             assert _perm_table(n) == perm_sweep(n), n
 
+    def test_memo_depth_does_not_change_the_walk(self, monkeypatch):
+        # from the whole sweep out of the memo (tail n) down to one position from it
+        for n in range(8):
+            want = perm_sweep(n)
+            for tail in range(1, n + 1):
+                monkeypatch.setattr(permstats, "_TAIL", tail)
+                assert _perm_table.__wrapped__(n) == want, (n, tail)
+
+    def test_each_cold_sweep_builds_its_own_memo(self):
+        # S_8 reads the memo below each of its 8!/3! prefixes; a memo kept from
+        # the first sweep would leave the second nothing to build
+        calls = []
+
+        def count_tails(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == permstats.__file__ and frame.f_code.co_name == "tails":
+                calls[-1] += 1
+
+        sys.setprofile(count_tails)
+        try:
+            for _ in range(2):
+                calls.append(0)
+                _perm_table.__wrapped__(8)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] == calls[1] > 40320 // 6
+
     def test_reference_rows_agree_with_stats(self):
         for n in range(8):
             for p in itertools.permutations(range(1, n + 1)):
