@@ -62,8 +62,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     broken = [r for r in reports if r.status == "error"]
     for r in broken:
         print(f"internal error in {r.name}: {r.note}", file=sys.stderr)
-        if r.traceback:
-            print(r.traceback, end="", file=sys.stderr)
     if broken:
         return EXIT_INTERNAL
     if guarded:

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from traceback import format_exc
 from typing import Callable, Iterable, Iterator
 
 from . import expand, grammar, permstats, stirlingperm, trees
@@ -42,7 +41,6 @@ class IdentityReport:
     counterexample: Counterexample | None
     seconds: float
     note: str | None = None
-    traceback: str | None = None  # where an "error" was raised, for stderr; not part of the JSON report
 
     @property
     def passed(self) -> bool:
@@ -370,8 +368,8 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     means a route broke a precondition of what reads it: it is reported as
     ``"fail"`` with no counterexample and the exception's type and message
     as the note.  Any other exception means the checker itself broke: it is
-    reported as ``"error"``, with its type and message as the note and its
-    traceback kept on the report, so the rest of a catalog run can go on.
+    reported as ``"error"``, with the same note, so the rest of a catalog
+    run can go on.
     A ``k`` below 1, or for an identity that takes none, raises
     ``InvalidParamError`` before the check.
     """
@@ -394,12 +392,12 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
         counterexample = _first_mismatch(entry.fn(bound, k))
     except SizeLimitError as exc:
         return IdentityReport(name, params, "guard", None, time.perf_counter() - start, str(exc))
-    except (EngineError, ValueError) as exc:  # a route's output broke a solver's or a table's precondition
+    except Exception as exc:
+        # a route's output that broke a solver's or a table's precondition fails the
+        # claim; any other exception is a broken checker, which is not a failed claim
+        status = "fail" if isinstance(exc, (EngineError, ValueError)) else "error"
         note = f"{type(exc).__name__}: {exc}"
-        return IdentityReport(name, params, "fail", None, time.perf_counter() - start, note)
-    except Exception as exc:  # a broken checker is not a failed claim
-        note = f"{type(exc).__name__}: {exc}"
-        return IdentityReport(name, params, "error", None, time.perf_counter() - start, note, format_exc())
+        return IdentityReport(name, params, status, None, time.perf_counter() - start, note)
     return IdentityReport(
         name=name,
         params=params,

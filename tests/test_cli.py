@@ -108,8 +108,7 @@ class TestVerify:
         }
         assert reports["frobenius"]["note"] == "KeyError: 'eulerian'"
         assert all(r["status"] == "pass" for name, r in reports.items() if name not in broken)
-        assert err.count("internal error in ") == err.count("Traceback (most recent call last)") == len(broken)
-        assert "raise KeyError(family)" in err
+        assert err.count("internal error in ") == len(broken)
 
     def test_an_internal_error_outranks_a_guard(self, capsys, monkeypatch):
         reports = [
