@@ -4,13 +4,14 @@
     eulab table <name> --n N [--k K] --format {json,csv}
     eulab expand <basis> [--n N] [--var V]    (reads Poly JSON on stdin)
 
-Exit codes: 0 pass, 1 identity failure, 2 usage, 3 size guard exceeded,
-4 parse or precondition error, 5 internal error.  ``verify`` reports every
-identity it ran and exits 5 if any checker raised an unexpected exception,
-else 3 if any hit a size guard, else 1 if any did not pass, else 0.  Table
-and expand output is byte-identical across identical invocations; verify
-output includes wall times, which are the one intentionally non-reproducible
-field.
+Exit codes: 0 pass, 1 identity failure, 2 usage (``UnknownIdentityError``),
+3 size guard (``SizeLimitError``), 4 any other ``EngineError`` (a parse or
+precondition error), 5 any other exception (a bug, one stderr line).
+``verify`` reports every identity it ran and exits 5 if any checker raised a
+non-``EngineError``, else 3 if any hit a size guard, else 1 if any did not
+pass, else 0.  Table and expand output is byte-identical across identical
+invocations; verify output includes wall times, which are the one
+intentionally non-reproducible field.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from typing import Callable, Sequence
 from . import expand as expand_mod
 from . import grammar, identities, permstats, stirlingperm, trees
 from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
-from .exactalg import Poly
+from .exactalg import Poly, writer_guard
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SIZE_GUARD = 3
 EXIT_PARSE = 4
-EXIT_INTERNAL = 5  # a checker raised an unexpected exception
+EXIT_INTERNAL = 5  # an exception that is not an EngineError: a bug, not a refusal
 
 def _dump(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -161,12 +162,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:  # esym
         variables = poly.variables()
         expansion = expand_mod.esym_expand(poly, variables)
-    out: dict = {
-        "basis": expansion.basis,
-        "coeffs": [
-            {"index": list(key), "coeff": str(c)} for key, c in sorted(expansion.coeffs.items())
-        ],
-    }
+    with writer_guard():
+        coeffs = [{"index": list(key), "coeff": str(c)} for key, c in sorted(expansion.coeffs.items())]
+    out: dict = {"basis": expansion.basis, "coeffs": coeffs}
     if expansion.n is not None:
         out["n"] = expansion.n
     if expansion.var is not None:
@@ -225,9 +223,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (EngineError, ValueError) as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # not a refusal: a bug, reported in one line
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ class NotExpandableError(EngineError):
 
 
 class PolyParseError(EngineError):
-    """Polynomial JSON did not conform to the canonical wire form."""
+    """Polynomial JSON did not conform to the canonical wire form, or a coefficient is too long to write in it."""
 
 
 class UnknownIdentityError(EngineError):

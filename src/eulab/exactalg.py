@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import InexactDivisionError, PolyParseError, SizeLimitError
+from .errors import InexactDivisionError, InvalidParamError, PolyParseError, SizeLimitError
 
 Rational = Union[int, Fraction]
 
@@ -66,7 +67,7 @@ def _shift(name: str) -> int:
     s = _SHIFT.get(name)
     if s is None:
         if type(name) is not str or not name:  # the wire form could not name it
-            raise ValueError(f"a variable name must be a non-empty str, got {name!r}")
+            raise InvalidParamError(f"a variable name must be a non-empty str, got {name!r}")
         global _GUARD
         s = len(_NAMES) * _FIELD_BITS
         _SHIFT[name] = s
@@ -76,12 +77,12 @@ def _shift(name: str) -> int:
 
 
 def _encode(exps: Mapping[str, int]) -> int:
-    """Pack an exponent mapping (zeros dropped); ValueError off the monomial rule that builders and reader share."""
+    """Pack an exponent mapping (zeros dropped); InvalidParamError off the monomial rule builders and reader share."""
     m = 0
     for v, e in exps.items():
         # type() rather than isinstance(): True must not pass as the int 1
         if v == "" or type(e) is not int or not 0 <= e <= MAX_EXPONENT:
-            raise ValueError(f"bad exponent entry {v!r}: {e!r} (the limit is {MAX_EXPONENT})")
+            raise InvalidParamError(f"bad exponent entry {v!r}: {e!r} (the limit is {MAX_EXPONENT})")
         if e:
             m |= e << _shift(v)
     return m
@@ -145,7 +146,7 @@ def _norm_coeff(c: Rational) -> Rational:
         return c
     if isinstance(c, int):
         return c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+    raise InvalidParamError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
 class Poly:
@@ -242,7 +243,7 @@ class Poly:
     def constant_value(self) -> Rational:
         """The value of a constant polynomial; raises if any variable occurs."""
         if any(self._terms):
-            raise ValueError("polynomial is not constant")
+            raise InvalidParamError("polynomial is not constant")
         return self._terms.get(0, 0)
 
     # -- equality ----------------------------------------------------------
@@ -309,7 +310,7 @@ class Poly:
 
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+            raise InvalidParamError("exponent must be a nonnegative integer")
         result = Poly.one()
         base = self
         while n:
@@ -369,7 +370,7 @@ class Poly:
         """Evaluate at an exact rational point (all variables must be bound)."""
         for v in self.variables():
             if v not in assign:
-                raise ValueError(f"no value bound for variable {v!r}")
+                raise InvalidParamError(f"no value bound for variable {v!r}")
         return self.subst(assign).constant_value()
 
     # -- predicates --------------------------------------------------------
@@ -384,7 +385,7 @@ class Poly:
         """
         vs = list(variables)
         if len(set(vs)) != len(vs):
-            raise ValueError("variables must be distinct")
+            raise InvalidParamError("variables must be distinct")
         terms = self._terms
         for a, b in zip(vs, vs[1:]):
             sa, sb = _shift(a), _shift(b)
@@ -398,7 +399,7 @@ class Poly:
         """Dense coefficient list of a polynomial univariate in ``var``."""
         extra = [v for v in self.variables() if v != var]
         if extra:
-            raise ValueError(f"polynomial is not univariate in {var!r} (also uses {extra})")
+            raise InvalidParamError(f"polynomial is not univariate in {var!r} (also uses {extra})")
         s = _shift(var)
         out: list[Rational] = [0] * (self.degree_in(var) + 1)
         for m, c in self._terms.items():
@@ -447,9 +448,10 @@ class Poly:
         fields = [(_SHIFT[v], json.dumps(v) + ":") for v in names]  # each name's JSON text once
         key = _grlex_key(names)
         out = []
-        for m in sorted(self._terms, key=key, reverse=True):
-            exps = ",".join([f + str(e) for s, f in fields if (e := m >> s & MAX_EXPONENT)])
-            out.append(f'{{"coeff":"{self._terms[m]}","exponents":{{{exps}}}}}')
+        with writer_guard():
+            for m in sorted(self._terms, key=key, reverse=True):
+                exps = ",".join([f + str(e) for s, f in fields if (e := m >> s & MAX_EXPONENT)])
+                out.append(f'{{"coeff":"{self._terms[m]}","exponents":{{{exps}}}}}')
         return "[" + ",".join(out) + "]"
 
     @classmethod
@@ -465,7 +467,7 @@ class Poly:
                 raise PolyParseError("exponents must be an object")
             try:
                 mono = _encode(exps)
-            except ValueError as exc:
+            except InvalidParamError as exc:
                 raise PolyParseError(str(exc)) from exc
             raw = entry["coeff"]
             if type(raw) is not int:
@@ -494,16 +496,17 @@ class Poly:
         """Terms leading-first as (monomial text, coeff), e.g. ("x^2*y", 3); a constant reads "1"."""
         return [(_mono_text(m) or "1", c) for m, c in self.sorted_terms()]
 
-    def __str__(self) -> str:
-        text = ""
-        for m, c in self.sorted_terms():
-            body, a = _mono_text(m), abs(c)
-            body = str(a) if not body else body if a == 1 else f"{a}*{body}"
-            text += f" {'-' if c < 0 else '+'} {body}" if text else f"{'-' if c < 0 else ''}{body}"
-        return text or "0"
-
     def __repr__(self) -> str:
-        return f"Poly({self})"
+        return f"Poly({self.to_json()})"
+
+
+@contextmanager
+def writer_guard() -> Iterator[None]:
+    """Refuse with ``PolyParseError``, as the reader does, a coefficient whose text CPython will not write."""
+    try:
+        yield
+    except ValueError as exc:  # str() of an int past the digit limit
+        raise PolyParseError("a coefficient has more than 4300 digits, the limit on integer text") from exc
 
 
 def _coerce(value: Poly | Rational) -> Poly:

@@ -16,7 +16,7 @@ from itertools import accumulate, combinations
 from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .errors import NotExpandableError, NotPalindromicError, NotSymmetricError, OutOfRangeError
+from .errors import InvalidParamError, NotExpandableError, NotPalindromicError, NotSymmetricError, OutOfRangeError
 from .exactalg import Poly, Rational, elementary_symmetric, sum_of_products
 
 MAX_TABLE_N = 12
@@ -62,14 +62,14 @@ class Expansion:
             return sum_of_products(
                 (c, prod((ei**bi for ei, bi in zip(e, b) if bi), start=one), one) for b, c in self.coeffs.items()
             )
-        raise ValueError(f"unknown basis {self.basis!r}")
+        raise InvalidParamError(f"unknown basis {self.basis!r}")
 
 
 def _dense(f: Poly, var: str, n: int) -> list[Rational]:
-    """f's coefficients in var, padded to n + 1; a ValueError unless f is univariate of degree <= n."""
+    """f's coefficients in var, padded to n + 1; refused unless f is univariate of degree <= n."""
     coeffs = f.coeffs_in(var)
     if len(coeffs) - 1 > n:
-        raise ValueError(f"degree {len(coeffs) - 1} exceeds n={n}")
+        raise NotExpandableError(f"degree {len(coeffs) - 1} exceeds n={n}")
     return coeffs + [0] * (n + 1 - len(coeffs))
 
 
@@ -112,7 +112,7 @@ def partial_gamma_expand(f: Poly, n: int) -> Expansion:
     """
     extra = set(f.variables()) - {"x", "y", "s"}
     if extra:
-        raise ValueError(f"expected a polynomial in x, y, s; also found {sorted(extra)}")
+        raise NotExpandableError(f"expected a polynomial in x, y, s; also found {sorted(extra)}")
     g = f.subst({"s": Poly.var("t") - Poly.var("y")})
     slices: dict[int, dict[tuple[int, int], Rational]] = {}
     for (i, a, b), c in g.exponent_table(["t", "x", "y"]).items():
@@ -274,7 +274,7 @@ def triangle_guard(n: int, k: int = 0) -> None:
 def triangle(name: str, n: int, k: int) -> int:
     """Exact triangle entry via the defining recurrence."""
     if name not in TRIANGLES:
-        raise ValueError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
+        raise InvalidParamError(f"unknown triangle {name!r}; expected one of {TRIANGLES}")
     triangle_guard(n, k)
     return _row(name, n)[k]
 
@@ -303,7 +303,7 @@ TABLE_KINDS = ("gamma-nij", "gamma-n-xy-poly")
 def gamma_tables(kind: str, n_max: int) -> GammaTable:
     """Rows 0..n_max of the recurrence table ``kind``; refused past ``MAX_TABLE_N``."""
     if kind not in TABLE_KINDS:
-        raise ValueError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
+        raise InvalidParamError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if not 0 <= n_max <= MAX_TABLE_N:
         raise OutOfRangeError(f"table guard: need 0 <= n_max <= {MAX_TABLE_N}")
     return GammaTable(tuple(_row(kind, n) for n in range(n_max + 1)))

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EngineError, OutOfRangeError
+from .errors import EngineError, InvalidParamError, OutOfRangeError
 from .exactalg import Poly, Rational, derivation, elementary_symmetric
 
 
@@ -42,7 +42,7 @@ class Grammar:
     def iterate(self, seed: Poly, n: int) -> Poly:
         """n-fold derivative D_G^n(seed); n = 0 returns the seed."""
         if n < 0:
-            raise ValueError("iteration count must be >= 0")
+            raise InvalidParamError("iteration count must be >= 0")
         return next(islice(self.iterates(seed), n, None))
 
 
@@ -129,7 +129,7 @@ def e_letter(i: int) -> str:
 def g9(k: int) -> Grammar:
     """k-Stirling grammar: every x_i derives to the full product x_1...x_{k+1}."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParamError("k must be >= 1")
     vs = stirling_vars(k)
     product = Poly.monomial(dict.fromkeys(vs, 1))
     return Grammar({v: product for v in vs})
@@ -142,7 +142,7 @@ def g10(k: int) -> Grammar:
     letter (derivative zero) that the expansion map later sends to 1.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParamError("k must be >= 1")
     top = Poly.var(e_letter(k + 1))
     rules: dict[str, Poly] = {"x_1": top}
     for i in range(1, k + 2):
@@ -167,12 +167,12 @@ def e_exponent_table(p: Poly, k: int) -> dict[tuple[int, ...], Rational]:
     """Read a polynomial in the letters e_0..e_{k+1} as an exponent table.
 
     Keys are exponent vectors (b_1, ..., b_{k+1}) of e_1..e_{k+1}; the inert
-    letter e_0 is folded to 1 (its exponent dropped).  Raises ValueError on
+    letter e_0 is folded to 1 (its exponent dropped).  Raises InvalidParamError on
     any letter outside the e-alphabet.
     """
     stray = set(p.variables()) - {e_letter(i) for i in range(0, k + 2)}
     if stray:
-        raise ValueError(f"letters {sorted(stray)} are not in the e-alphabet for k={k}")
+        raise InvalidParamError(f"letters {sorted(stray)} are not in the e-alphabet for k={k}")
     return p.exponent_table([e_letter(i) for i in range(1, k + 2)])
 
 
@@ -233,9 +233,9 @@ def catalog(name: str) -> Grammar:
             try:
                 k = int(name[len(prefix) :])
             except ValueError:
-                raise ValueError(f"bad multiplicity in grammar name {name!r}") from None
+                raise InvalidParamError(f"bad multiplicity in grammar name {name!r}") from None
             return builder(k)
-    raise ValueError(f"unknown grammar {name!r}")
+    raise InvalidParamError(f"unknown grammar {name!r}")
 
 
 def transform_catalog(ks: Iterable[int]) -> list[tuple[str, Grammar, dict[str, Poly], Grammar, bool]]:

@@ -364,12 +364,11 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     reported with status ``"empty"``, which does not count as passed.  A size
     guard hit during the check is reported with status ``"guard"`` and the
     guard's message as the note, so the rest of a catalog run can go on.
-    Any other ``EngineError`` or ``ValueError`` raised while the cases run
-    means a route broke a precondition of what reads it: it is reported as
-    ``"fail"`` with no counterexample and the exception's type and message
-    as the note.  Any other exception means the checker itself broke: it is
-    reported as ``"error"``, with the same note, so the rest of a catalog
-    run can go on.
+    Any other ``EngineError`` raised while the cases run means a route broke
+    a precondition of what reads it: it is reported as ``"fail"`` with no
+    counterexample and the exception's type and message as the note.  Any
+    other exception means the checker itself broke: it is reported as
+    ``"error"``, with the same note, so the rest of a catalog run can go on.
     A ``k`` below 1, or for an identity that takes none, raises
     ``InvalidParamError`` before the check.
     """
@@ -395,7 +394,7 @@ def verify(name: str, max_n: int | None = None, k: int | None = None) -> Identit
     except Exception as exc:
         # a route's output that broke a solver's or a table's precondition fails the
         # claim; any other exception is a broken checker, which is not a failed claim
-        status = "fail" if isinstance(exc, (EngineError, ValueError)) else "error"
+        status = "fail" if isinstance(exc, EngineError) else "error"
         note = f"{type(exc).__name__}: {exc}"
         return IdentityReport(name, params, status, None, time.perf_counter() - start, note)
     return IdentityReport(

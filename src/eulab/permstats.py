@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import SizeLimitError
+from .errors import InvalidParamError, SizeLimitError
 from .exactalg import Poly
 
 MAX_ENUM_N = 10
@@ -47,7 +47,7 @@ MAX_ENUM_N = 10
 def guard(n: int) -> None:
     """Raise before any sweep when S_n is too large to enumerate."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidParamError("n must be >= 0")
     if n > MAX_ENUM_N:
         raise SizeLimitError(f"full enumeration guard: n={n} exceeds {MAX_ENUM_N} (n! blowup)")
 
@@ -147,7 +147,7 @@ def _perm_table(n: int) -> _PermTable:
             grow(j + 1, rest[:idx] + rest[idx + 1 :], packed + step, b, _FALL if a > b else rise)
 
     grow(1, tuple(range(1, n + 1)), 0, 0, 0)
-    memo.clear()  # so the memo and the built table are never held at once
+    del grow, tails, memo  # break the closures' cycle: the memo is freed now, before the table is built
     for m, c in sets.items():
         s, f = m & _SUC_BITS, m >> _FIX_AT - _SUC_AT
         by_suc[s] = by_suc.get(s, 0) + c
@@ -205,7 +205,7 @@ def perm_poly(n: int, family: str) -> Poly:
     peak                       sum x^(interior peaks)
     """
     if family not in _PROJECTIONS:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise InvalidParamError(f"unknown family {family!r}; expected one of {FAMILIES}")
     letters, exponents = _PROJECTIONS[family]
     counts = _project(n, exponents)
     if n == 0:

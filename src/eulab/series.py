@@ -53,10 +53,10 @@ class Series:
         cs = [_as_poly(c) for c in coeffs]
         if order is None:
             if not cs:
-                raise ValueError("a series needs at least its constant coefficient")
+                raise InvalidParamError("a series needs at least its constant coefficient")
             order = len(cs) - 1
         if order < 0:
-            raise ValueError("order must be >= 0")
+            raise InvalidParamError("order must be >= 0")
         if len(cs) < order + 1:
             cs.extend([Poly.zero()] * (order + 1 - len(cs)))
         else:
@@ -104,7 +104,7 @@ class Series:
     def egf_coefficient(self, n: int) -> Poly:
         """n! times the z^n coefficient: the n-th EGF numerator polynomial."""
         if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
+            raise InvalidParamError(f"coefficient index {n} outside truncation order {self.order}")
         return self.h[n]
 
     def truncate(self, order: int) -> Series:
@@ -189,7 +189,7 @@ class Series:
     def diff_z(self) -> Series:
         """d/dz, truncated one order lower: the numerators shift down by one."""
         if self.order == 0:
-            raise ValueError("d/dz of a series of order 0 has no known coefficient")
+            raise InvalidParamError("d/dz of a series of order 0 has no known coefficient")
         return Series._of(self.h[1:], self.order - 1)
 
     def specialize(self, assignment: Mapping[str, PolyLike]) -> Series:
@@ -250,4 +250,4 @@ def egf_build(name: str, order: int, params: Mapping[str, Rational] | None = Non
         den = [h for p in powers for h in (p, p.scale(Fraction(-1, 2)))]
         base = Series.const(1, order).div(Series._of(den[: order + 1], order))
         return Series.exp_zp(x_val - 1, order) * base * base
-    raise ValueError(f"unknown EGF name {name!r}; expected one of {EGF_NAMES}")
+    raise InvalidParamError(f"unknown EGF name {name!r}; expected one of {EGF_NAMES}")

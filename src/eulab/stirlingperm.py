@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import SizeLimitError
+from .errors import InvalidParamError, SizeLimitError
 from .exactalg import MAX_EXPONENT, Poly
 
 PRODUCT_GUARD = 10**7
@@ -49,7 +49,7 @@ def guard(n: int, k: int) -> None:
     the words are counted, stopping as soon as they pass ``PRODUCT_GUARD``.
     """
     if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+        raise InvalidParamError("need n >= 1 and k >= 1")
     if k * n + 1 > MAX_EXPONENT:
         raise SizeLimitError(f"k-Stirling guard: {k * n + 1} gaps overflow a {MAX_EXPONENT}-bounded key field")
     if word_count(n, k, cap=PRODUCT_GUARD) > PRODUCT_GUARD:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import SizeLimitError
+from .errors import InvalidParamError, SizeLimitError
 from .exactalg import Poly
 
 TREE_GUARD = 10**7
@@ -56,7 +56,7 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected one of {KINDS}")
+            raise InvalidParamError(f"unknown family kind {self.kind!r}; expected one of {KINDS}")
 
     @property
     def root(self) -> int:
@@ -102,7 +102,7 @@ def tree_count(n: int, spec: FamilySpec, cap: int | None = None) -> int:
     free slot when any bound is positive), so it is returned once past ``cap``.
     """
     if n < spec.root:
-        raise ValueError("empty vertex set")
+        raise InvalidParamError("empty vertex set")
     table = _states(n, spec)
     states = Counter({(0,): 1})
     for _ in range(spec.root + 1, n + 1):
@@ -176,6 +176,7 @@ def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
             opened[i : i + len(grown)] = (s,)
 
     grow(spec.root + 1, 1)
+    del grow, tails  # break the closures' cycle, so the memo is freed on return
     return counts
 
 
@@ -194,7 +195,7 @@ WEIGHTINGS = tuple(_WEIGHTINGS)
 def default_spec(weighting: str, maxdeg: int | None = None) -> FamilySpec:
     """The tree family a weighting is defined over."""
     if weighting not in _WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
+        raise InvalidParamError(f"unknown weighting {weighting!r}; expected one of {WEIGHTINGS}")
     kind, bound, _ = _WEIGHTINGS[weighting]
     if kind == "forest012":  # its bounds are built in, so any maxdeg names the one family
         return FamilySpec(kind)

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from eulab import grammar, identities, permstats
+from eulab import grammar, identities, permstats, trees
 from eulab.cli import _TABLES, main
-from eulab.errors import InvalidParamError
+from eulab.errors import InvalidParamError, PolyParseError
 from eulab.exactalg import MAX_EXPONENT, Poly
 from eulab.identities import IdentityReport
 from eulab.permstats import perm_poly
@@ -415,6 +415,63 @@ class TestExpand:
         _, first, _ = run(capsys, ["expand", "partial-gamma"], stdin=payload, monkeypatch=monkeypatch)
         _, second, _ = run(capsys, ["expand", "partial-gamma"], stdin=payload, monkeypatch=monkeypatch)
         assert first == second
+
+
+def _raising(module, name, error, arg):
+    """``module.name`` patched to raise ``error("planted")`` when ``arg`` is among its arguments."""
+    read = getattr(module, name)
+
+    def planted(*args):
+        if arg in args:
+            raise error("planted")
+        return read(*args)
+
+    return module, name, planted
+
+
+#: 4 300 digits each, which the reader accepts; gamma_1 = -2c has 4 301, which no writer can print
+_DIGIT_LIMIT_GAMMA = Poly.from_exponents([({}, 10**4300 - 1), ({"x": 2}, 10**4300 - 1)]).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, plant, code, stderr",
+    [
+        (["verify", "nonsense"], None, None, 2, "error: unknown identity 'nonsense'"),
+        (["verify", "transform-catalog", "--k", "0"], None, None, 4, "error: --k must be >= 1, got 0"),
+        (["table", "eulerian", "--n", "-1"], None, None, 4, "error: --n must be >= 0, got -1"),
+        (["expand", "gamma"], "not json", None, 4, "error: invalid JSON"),
+        (["expand", "gamma"], '[{"coeff":1.5,"exponents":{}}]', None, 4, "error: bad coefficient 1.5"),
+        (["expand", "esym"], json.dumps([{"coeff": "1", "exponents": {"x_1": MAX_EXPONENT + 1}}]), None, 4,
+         "error: bad exponent entry 'x_1': 32768"),
+        (["expand", "gamma"], (1 + 2 * x).to_json(), None, 4, "error: coefficients of x^i and x^(n-i) differ"),
+        (["verify", "frobenius", "--max-n", "11"], None, None, 3, "size guard: full enumeration guard: n=11"),
+        (["table", "trivariate", "--n", "3"], None,
+         _raising(permstats, "perm_poly", KeyError, "trivariate"), 5, "internal error: KeyError: 'planted'"),
+        (["table", "trivariate", "--n", "3"], None,
+         _raising(permstats, "perm_poly", ValueError, "trivariate"), 5, "internal error: ValueError: planted"),
+        (["expand", "gamma"], _DIGIT_LIMIT_GAMMA, None, 4, "error: a coefficient has more than 4300 digits"),
+        (["verify", "all", "--json"], None,
+         _raising(trees, "tree_weight_poly", ValueError, "andre"), 5, "internal error in andre: ValueError: planted"),
+    ],
+    ids=[
+        "unknown-identity", "k-zero", "negative-n", "bad-json", "float-coefficient", "exponent-past-the-limit",
+        "not-palindromic", "size-guard", "crash-in-table", "bare-value-error-in-table",
+        "coefficient-past-the-digit-limit", "bare-value-error-in-a-route",
+    ],
+)
+def test_exit_code_table(capsys, monkeypatch, argv, stdin, plant, code, stderr):
+    """Each documented bad input exits with its code and one stderr line: a refusal is an
+    EngineError (2, 3 or 4), and any other exception is a bug (5), reported without a traceback."""
+    if plant is not None:
+        monkeypatch.setattr(*plant)
+    got, _, err = run(capsys, argv, stdin, monkeypatch)
+    assert got == code
+    assert err.startswith(stderr) and err.count("\n") == 1, err
+
+
+def test_writer_refuses_a_coefficient_past_the_digit_limit():
+    with pytest.raises(PolyParseError, match="more than 4300 digits"):
+        Poly.const(10**5000).to_json()
 
 
 def test_usage_error_exit_code(capsys):

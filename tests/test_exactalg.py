@@ -9,7 +9,7 @@ from hypothesis import example, given
 
 import tuple_kernel as ref
 from conftest import coefficients, polys
-from eulab.errors import InexactDivisionError, PolyParseError
+from eulab.errors import InexactDivisionError, InvalidParamError, PolyParseError
 from eulab.exactalg import MAX_EXPONENT, Poly, elementary_symmetric, poly_sum
 
 x, y, s, z = Poly.var("x"), Poly.var("y"), Poly.var("s"), Poly.var("z")
@@ -99,7 +99,7 @@ class TestSubst:
         assert isinstance(got, int) == (want.denominator == 1)
 
     def test_evaluate_needs_every_variable(self):
-        with pytest.raises(ValueError, match="no value bound for variable 'y'"):
+        with pytest.raises(InvalidParamError, match="no value bound for variable 'y'"):
             (x * y + y).evaluate({"x": -1})  # the y terms cancel at x = -1, but y is unbound
         assert Poly.const(Fraction(3, 2)).evaluate({}) == Fraction(3, 2)
 
@@ -250,7 +250,7 @@ def _outcome(build, error):
 
 
 class TestOneMonomialRule:
-    """The builders refuse, with a ValueError, exactly the exponent mappings the reader refuses."""
+    """The builders refuse, with an InvalidParamError, exactly the exponent mappings the reader refuses."""
 
     @given(
         st.dictionaries(
@@ -266,8 +266,8 @@ class TestOneMonomialRule:
     @example({"x": MAX_EXPONENT, "y": 0})
     @example({"x": MAX_EXPONENT + 1})
     def test_builders_and_reader_agree(self, exps):
-        monomial = _outcome(lambda: Poly.monomial(exps), ValueError)
-        summed = _outcome(lambda: Poly.from_exponents([(exps, 1)]), ValueError)
+        monomial = _outcome(lambda: Poly.monomial(exps), InvalidParamError)
+        summed = _outcome(lambda: Poly.from_exponents([(exps, 1)]), InvalidParamError)
         read = _outcome(lambda: Poly.from_json_obj([{"exponents": exps, "coeff": "1"}]), PolyParseError)
         assert monomial == summed == read
         # the rule: a nonempty name, and an int (not a bool) exponent from 0 to MAX_EXPONENT
@@ -278,7 +278,7 @@ class TestOneMonomialRule:
     @pytest.mark.parametrize("name", ["", 1, None])
     def test_every_builder_refuses_a_name_the_wire_form_cannot_hold(self, name):
         for build in (Poly.var, lambda v: Poly.monomial({v: 1}), lambda v: x.diff(v)):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidParamError):
                 build(name)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from conftest import coefficients
 from eulab.errors import (
+    InvalidParamError,
     NotExpandableError,
     NotPalindromicError,
     NotSymmetricError,
@@ -116,9 +117,9 @@ class TestGammaExpand:
 
     def test_reads_one_letter_up_to_degree_n(self):
         assert gamma_expand(x, "x", 2).coeffs == {(1,): 1}  # [0, 1] is compared padded, as [0, 1, 0]
-        with pytest.raises(ValueError, match="not univariate"):
+        with pytest.raises(InvalidParamError, match="not univariate"):
             gamma_expand(x + y, "x", 1)
-        with pytest.raises(ValueError, match="degree 2 exceeds n=1"):
+        with pytest.raises(NotExpandableError, match="degree 2 exceeds n=1"):
             gamma_expand(1 + 4 * x + x**2, "x", 1)
 
 
@@ -533,5 +534,5 @@ class TestGammaTables:
     def test_guard(self):
         with pytest.raises(OutOfRangeError):
             gamma_tables("gamma-nij", 13)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             gamma_tables("nope", 3)

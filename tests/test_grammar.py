@@ -12,7 +12,7 @@ from hypothesis import given
 import eulab
 from conftest import polys
 from eulab import expand, permstats, stirlingperm, trees
-from eulab.errors import EngineError, OutOfRangeError
+from eulab.errors import EngineError, InvalidParamError, OutOfRangeError
 from eulab.exactalg import Poly, poly_sum
 from eulab.grammar import (
     MAX_HISTOGRAM_N,
@@ -94,7 +94,7 @@ class TestDerive:
         assert g1().iterate(seed, 0) == seed
 
     def test_iterate_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             g1().iterate(x, -1)
 
     def test_iterates_derives_only_when_asked(self, monkeypatch):
@@ -294,11 +294,11 @@ class TestCatalogLookup:
         assert "e_4" in catalog("G10:3").rules
 
     def test_bad_names(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             catalog("G11")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             catalog("G9:x")
 
     def test_e_exponent_table_rejects_foreign_letters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             e_exponent_table(x + 1, 2)

@@ -1,4 +1,6 @@
 import ast
+import builtins
+import gc
 import inspect
 import json
 import pkgutil
@@ -268,6 +270,19 @@ def test_verify_all_walks_each_object_set_once(monkeypatch):
     assert {key: c for key, c in runs.items() if c > 1} == {}
 
 
+def test_a_walk_leaves_no_cyclic_garbage():
+    """The recursive closures of the S_n sweep and the tree walk are released when they return,
+    so their memos and working dicts are freed at once, not at the next cyclic collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        permstats._perm_table.__wrapped__(8)
+        trees._walk.__wrapped__(10, trees.FamilySpec("nonplane", 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_each_tree_family_is_one_cache_entry():
     """Both readers of the deghist family ask for it the same way, so each walk is one tree_weight_poly entry."""
     trees.tree_weight_poly.cache_clear()
@@ -358,10 +373,39 @@ def test_package_imports_reads_every_import_form():
     assert package_imports(source) == {"cli", "expand", "trees", "grammar", "series", "errors"}
 
 
-@pytest.mark.parametrize("name", sorted({m.name for m in pkgutil.iter_modules(eulab.__path__)} | set(IMPORT_TABLE)))
+MODULES = sorted({m.name for m in pkgutil.iter_modules(eulab.__path__)} | set(IMPORT_TABLE))
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_each_module_imports_only_its_row_of_the_table(name):
     """Every module of the package has a row, and imports from the package only what its row names."""
     assert name in IMPORT_TABLE, f"eulab.{name} has no row in IMPORT_TABLE"
     if IMPORT_TABLE[name] is not None:
         imported = package_imports(inspect.getsource(import_module(f"eulab.{name}")))
         assert imported <= IMPORT_TABLE[name], imported - IMPORT_TABLE[name]
+
+
+def raised_names(source: str) -> set[str]:
+    """The class names that ``source`` raises: ``raise X(...)``, ``raise X`` and ``raise m.X`` give X."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names - {None}
+
+
+def test_raised_names_reads_every_raise_form():
+    source = (
+        "raise ValueError('x')\nraise TypeError\nraise builtins.KeyError(1) from None\n"
+        "try:\n    pass\nexcept OSError:\n    raise\nraise errors.EngineError('y')\n"
+    )
+    assert raised_names(source) == {"ValueError", "TypeError", "KeyError", "EngineError"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_refuses_only_with_engine_errors(name):
+    """Every deliberate refusal is an ``EngineError``, so no module raises a builtin exception class:
+    the CLI and ``verify`` then tell a refusal from a bug by that one type."""
+    raised = raised_names(inspect.getsource(import_module(f"eulab.{name}")))
+    assert {r for r in raised if isinstance(getattr(builtins, r, None), type)} == set()

@@ -22,7 +22,7 @@ from hypothesis import given
 import eulab
 import tuple_kernel as ref
 from conftest import coefficients
-from eulab.errors import InexactDivisionError, PolyParseError, SizeLimitError
+from eulab.errors import InexactDivisionError, InvalidParamError, PolyParseError, SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly, derivation, sum_of_products
 
 LIMIT = MAX_EXPONENT
@@ -268,9 +268,9 @@ class TestExponentLimit:
             assert Poly.from_json(text).degree_in("w_a") == e
 
     def test_constructors_refuse_an_exponent_above_the_limit(self):
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(InvalidParamError, match="limit"):
             Poly.monomial({"w_a": LIMIT + 1})
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(InvalidParamError, match="limit"):
             Poly.from_exponents([({"w_b": 1, "w_a": LIMIT + 1}, 1)])
 
     @pytest.mark.parametrize("e", [LIMIT - 1, LIMIT, LIMIT + 1])

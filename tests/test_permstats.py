@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from eulab import permstats
-from eulab.errors import OutOfRangeError, SizeLimitError
+from eulab.errors import InvalidParamError, OutOfRangeError, SizeLimitError
 from eulab.exactalg import Poly
 from eulab.expand import second_order_poly_from_triangle, triangle
 from eulab.permstats import (
@@ -97,7 +97,7 @@ class TestPermPoly:
         assert perm_poly(3, "derangement") == x + x**2
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             perm_poly(3, "nope")
 
     def test_factorial_guard(self):
@@ -185,7 +185,7 @@ class TestTriangles:
             triangle("surjection", 61, 3)
         with pytest.raises(OutOfRangeError):
             triangle("surjection", 4, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             triangle("nope", 3, 1)
 
 

@@ -92,7 +92,7 @@ class TestArith:
 
     def test_diff_z_at_order_zero_is_unknown(self):
         # the z^0 coefficient of the derivative is the untracked a_1
-        with pytest.raises(ValueError, match="order 0"):
+        with pytest.raises(InvalidParamError, match="order 0"):
             Series([1, 2], 0).diff_z()
 
 
@@ -114,7 +114,7 @@ class TestErrors:
             compose(Series.z(3), Series.const(1, 3))
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             egf_build("nope", 3)
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import eulab.stirlingperm as stirlingperm_mod
-from eulab.errors import SizeLimitError
+from eulab.errors import InvalidParamError, SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly, elementary_symmetric
 from eulab.expand import second_order_poly_from_triangle
 from eulab.grammar import g9, stirling_vars
@@ -72,7 +72,7 @@ class TestGeneration:
     def test_guard(self):
         with pytest.raises(SizeLimitError):
             list(gen(12, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             list(gen(0, 2))
 
 
@@ -138,7 +138,7 @@ class TestIncrementalWalk:
             _walk(MAX_EXPONENT, 1)
         with pytest.raises(SizeLimitError, match="32768 gaps"):
             gen(MAX_EXPONENT, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             _walk(0, 2)
         assert counted == []
         with pytest.raises(SizeLimitError, match=r"\|Q_12\(3\)\| exceeds"):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import eulab.trees as trees_mod
-from eulab.errors import SizeLimitError
+from eulab.errors import InvalidParamError, SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly
 from eulab.expand import gamma_expand, gamma_tables, triangle
 from eulab.grammar import g4, histogram_rows
@@ -76,7 +76,7 @@ class TestGeneration:
                     assert tree.degree(vertex) <= 2
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             FamilySpec("triangular")
 
 
@@ -154,7 +154,7 @@ class TestWeights:
     def test_default_specs(self):
         assert default_spec("andre") == FamilySpec("nonplane", 2)
         assert default_spec("deghist", 4) == FamilySpec("plane", 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamError):
             default_spec("nope")
 
     def test_forest_gamma_walks_one_family_whatever_maxdeg(self):
