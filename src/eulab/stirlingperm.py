@@ -12,14 +12,14 @@ the same letter; summing x_j over j <= k-1 plateau classes plus descent and
 ascent markers x_k, x_{k+1} gives the multivariate k-th order Eulerian
 polynomial.
 
-The walk keeps only the type of each of the kn+1 padded gaps, and the
-statistic vector as one packed int key, 16 bits per field, as ``exactalg``
-packs exponents (Monagan--Pearce, CASC 2007).  Putting m^k into the gap
-between a and b replaces the pair (a, b) by (a, m), (m, m) k-1 times and
-(m, b): an ascent, the 1- to (k-1)-plateaux of m and a descent, while every
-other plateau keeps its index; so the key changes by one precomputed int per
-gap type and nothing is copied or rescanned.  Every word adds 1 to its key's
-count at the last block, so the route stays exhaustive.
+The walk keeps only the type of each of the kn+1 padded gaps, and the statistic
+vector as one packed int key with fields as wide as kn + 1, as ``exactalg``
+packs exponents (Monagan--Pearce, CASC 2007).  Putting m^k into the gap between
+a and b replaces the pair (a, b) by (a, m), (m, m) k-1 times and (m, b): an
+ascent, the 1- to (k-1)-plateaux of m and a descent, while every other plateau
+keeps its index; so the key changes by one precomputed int per gap type, and
+nothing is copied or rescanned.  Every word adds 1 to its key's count at the
+last block: the route is exhaustive.
 """
 
 from __future__ import annotations
@@ -45,28 +45,33 @@ def word_count(n: int, k: int, cap: int | None = None) -> int:
 def guard(n: int, k: int) -> None:
     """Raise before any enumeration when Q_n(k) is empty or too large to walk.
 
-    The kn + 1 gap counts must fit a key field, which is checked first; then
-    the words are counted, stopping as soon as they pass ``PRODUCT_GUARD``.
+    A gap count is an x_j exponent, so the kn + 1 gaps are checked first against
+    ``Poly``'s ``MAX_EXPONENT``; then the words are counted until past ``PRODUCT_GUARD``.
     """
     if n < 1 or k < 1:
         raise InvalidParamError("need n >= 1 and k >= 1")
     if k * n + 1 > MAX_EXPONENT:
-        raise SizeLimitError(f"k-Stirling guard: {k * n + 1} gaps overflow a {MAX_EXPONENT}-bounded key field")
+        raise SizeLimitError(f"k-Stirling guard: {k * n + 1} gaps exceed the exponent bound {MAX_EXPONENT}")
     if word_count(n, k, cap=PRODUCT_GUARD) > PRODUCT_GUARD:
         raise SizeLimitError(f"k-Stirling guard: |Q_{n}({k})| exceeds {PRODUCT_GUARD} words")
+
+
+def _layout(n: int, k: int) -> int:  # bits per key field: a field counts at most the kn + 1 gaps
+    return (k * n + 1).bit_length()
 
 
 def _walk(n: int, k: int) -> dict[int, int]:
     """The number of words of Q_n(k) with each exponent vector, keyed by the packed vector.
 
     A gap's type is the index of its variable: j-1 for a j-plateau, k-1 for a
-    descent, k for an ascent; field t of a key (bits 16t and up) counts the
-    gaps of type t, which is the exponent of x_{t+1}.  Only the gap types are
-    kept, and every word adds 1 to its key's count at the last block.
+    descent, k for an ascent; field t of a key (``_layout`` bits each) counts
+    the gaps of type t, which is the exponent of x_{t+1}.  Only the gap types
+    are kept, and every word adds 1 to its key's count at the last block.
     """
     guard(n, k)
+    width = _layout(n, k)
     block_gaps = [k, *range(k - 1), k - 1]  # (a, m), (m, m) x (k-1), (m, b)
-    step = [sum(1 << 16 * t for t in block_gaps) - (1 << 16 * old) for old in range(k + 1)]
+    step = [sum(1 << width * t for t in block_gaps) - (1 << width * old) for old in range(k + 1)]
     gaps, counts = list(block_gaps), {}  # 1^k put into (0, 0)
 
     def grow(m: int, key: int) -> None:
@@ -81,7 +86,7 @@ def _walk(n: int, k: int) -> dict[int, int]:
             grow(m + 1, key + step[old])
             gaps[g : g + k + 1] = (old,)
 
-    start = sum(1 << 16 * t for t in range(k + 1))
+    start = sum(1 << width * t for t in range(k + 1))
     if n > 1:
         grow(2, start)
     else:
@@ -95,10 +100,9 @@ def kth_order_poly(n: int, k: int) -> Poly:
 
     Weight of a word: x_1^plat_1 ... x_{k-1}^plat_{k-1} x_k^des x_{k+1}^asc.
     """
-    shifts = {f"x_{t + 1}": 16 * t for t in range(k + 1)}
-    return Poly.from_exponents(
-        ({v: key >> s & 0xFFFF for v, s in shifts.items()}, c) for key, c in _walk(n, k).items()
-    )
+    width = _layout(n, k)
+    shifts, mask = {f"x_{t + 1}": width * t for t in range(k + 1)}, (1 << width) - 1
+    return Poly.from_exponents(({v: key >> s & mask for v, s in shifts.items()}, c) for key, c in _walk(n, k).items())
 
 
 def trivariate_second_order(n: int) -> Poly:

@@ -13,15 +13,12 @@ Three kinds of family are supported (``FamilySpec.attach`` holds the rules):
   most delicate correctness point of the module.
 
 The weight sums come from one counting walk by leaf insertion (Janson--Kuba--
-Panholzer, JCTA 2011).  It builds no tree: it keeps the open vertices, those
-below their degree bound, as a list of states, and the tree's statistics as
-one packed int key, 16 bits per field, as ``exactalg`` packs exponents
-(Monagan--Pearce, CASC 2007).  An attachment adds a precomputed int to the
-key, and every tree adds 1 to its key's count, so the route stays exhaustive.
-The last ``_TAIL`` labels are placed from a memo local to each walk: for the
-labels left and the multiset of open states it lists the key steps of every
-way to place them, one element per tree, so the count is still by trees.
-The walk is cached: each family is walked once per n for every weighting.
+Panholzer, JCTA 2011), cached per n and family.  It builds no tree: it keeps
+the open vertices, those below their degree bound, as a list of states, and
+the statistics as one packed int key sized to the family by ``_layout``, as
+``exactalg`` packs exponents (Monagan--Pearce, CASC 2007).  An attachment adds
+a precomputed int to the key, and every tree adds 1 to its key's count (the
+last ``_TAIL`` labels from a memo local to each walk): the route is exhaustive.
 ``guard`` refuses an n past the walk's depth bound, then counts the family
 over multisets of the same states (``tree_count``) until past the 10^7 limit.
 """
@@ -37,7 +34,7 @@ from .errors import InvalidParamError, SizeLimitError
 from .exactalg import Poly
 
 TREE_GUARD = 10**7
-MAX_DEPTH = 500  # labels per walk: well inside the recursion limit, and far below MAX_EXPONENT
+MAX_DEPTH = 500  # labels per walk: well inside the recursion limit, and a vertex count far below MAX_EXPONENT
 _TAIL = 3  # labels each walk places from its memo; andre n = 10 peaks at 176 KB with 3, 780 KB with 4
 
 KINDS = ("nonplane", "plane", "forest012")
@@ -72,58 +69,71 @@ class FamilySpec:
         return bound, range(0 if self.kind == "plane" else d, d + 1)
 
 
+def _layout(n: int, spec: FamilySpec) -> tuple[int, int]:
+    """Bits per key field (at most n + 1) and fields: degrees 0..min(bound, n - root), then root leaves."""
+    return (n + 1).bit_length(), min(spec.root_bound(n), n - spec.root) + 2
+
+
 def _states(n: int, spec: FamilySpec) -> list[tuple[int, tuple[int, ...], int]]:
     """What attaching a child below an open vertex does, by the vertex's state.
 
     State (n+1) r + d is a vertex of degree d that is the root (r = 0), a child
-    of the root (r = 1) or another vertex (r = 2), which fixes its bound; the
-    root starts in state 0.  An entry holds the key step, the open states that
-    replace the parent (itself a degree up below its bound, the new leaf below
-    a positive one) and the number of positions, none at the bound.
+    of the root (r = 1) or another vertex (r = 2), which fixes its bound, at
+    most n - root; the root starts in state 0.  An entry holds the key step,
+    the open states that replace the parent (itself a degree up below its
+    bound, the new leaf below a positive one) and the number of positions.
     """
-    root_leaf = 1 << 16 * (n - spec.root + 1)
-    bounds = [min(b, n + 1) for b in (spec.root_bound(n), spec.attach(n, True, 0)[0], spec.attach(n, False, 0)[0])]
-    table = []
+    width, fields = _layout(n, spec)
+    root_leaf = 1 << width * (fields - 1)
+    bounds = [min(b, n - spec.root) for b in (spec.root_bound(n), *(spec.attach(n, r, 0)[0] for r in (True, False)))]
+    table = [(0, (), 0)] * (3 * n + 3)  # a vertex at its bound: no position, and no field past the layout
     for r, bound in enumerate(bounds):
         leaf = 2 if r else 1
-        for d in range(n + 1):
-            step = (1 << 16 * (d + 1)) - (1 << 16 * d) + 1 + ((r == 0) - (r == 1 and d == 0)) * root_leaf
+        for d in range(bound):
+            step = (1 << width * (d + 1)) - (1 << width * d) + 1 + ((r == 0) - (r == 1 and d == 0)) * root_leaf
             grown = ((r * (n + 1) + d + 1,) if d + 1 < bound else ()) + ((leaf * (n + 1),) if bounds[leaf] else ())
-            table.append((step, grown, len(spec.attach(n, r == 0, d)[1]) if d < bound else 0))
+            table[r * (n + 1) + d] = (step, grown, len(spec.attach(n, r == 0, d)[1]))
     return table
+
+
+@lru_cache(maxsize=None)
+def _sizes(spec: FamilySpec) -> list[int]:  # the family's tree counts by n - root, as far as counted
+    return [1]
 
 
 def tree_count(n: int, spec: FamilySpec, cap: int | None = None) -> int:
     """Number of trees of the family on its vertex set, without building one.
 
     The ways the next label can attach depend only on the multiset of the open
-    vertices' ``_states``, so the count runs over these multisets, not trees.
-    After the first step the total never falls (the newest leaf always has a
-    free slot when any bound is positive), so it is returned once past ``cap``.
+    vertices' ``_states``, so a pass runs over these multisets, not trees; it
+    gives each smaller size too, kept per family (below n no vertex meets the
+    n - root cap on a bound).  After the first step no size falls (the newest
+    leaf has a free slot if any bound is positive), so a pass stops past ``cap``.
     """
     if n < spec.root:
         raise InvalidParamError("empty vertex set")
-    table = _states(n, spec)
-    states = Counter({(0,): 1})
-    for _ in range(spec.root + 1, n + 1):
-        after: Counter = Counter()
-        for state, ways in states.items():
-            for s in set(state):
-                _, grown, positions = table[s]
-                nxt = [*state, *grown]
-                nxt.remove(s)
-                after[tuple(sorted(nxt))] += ways * state.count(s) * positions
-        states = after
-        if cap is not None and sum(states.values()) > cap:
-            break
-    return sum(states.values())
+    if n - spec.root >= len(sizes := _sizes(spec)):  # past the sizes counted so far
+        table, states = _states(n, spec), Counter({(0,): 1})
+        for i in range(1, n - spec.root + 1):
+            after: Counter = Counter()
+            for state, ways in states.items():
+                for s in set(state):
+                    _, grown, positions = table[s]
+                    nxt = [*state, *grown]
+                    nxt.remove(s)
+                    after[tuple(sorted(nxt))] += ways * state.count(s) * positions
+            states = after
+            sizes[i:] = [sum(states.values())]
+            if cap is not None and sizes[-1] > cap:
+                break
+    return sizes[min(n - spec.root, len(sizes) - 1)]
 
 
 def guard(n: int, spec: FamilySpec) -> None:
     """Raise before any tree is built when the family is too deep or too large to walk.
 
     The depth check comes first: the walk recurses once per label, and
-    ``MAX_DEPTH`` also keeps every key field (at most n + 1 vertices) in range.
+    ``MAX_DEPTH`` also keeps every vertex count far below ``MAX_EXPONENT``.
     """
     if n > MAX_DEPTH:
         raise SizeLimitError(f"tree guard: n={n} exceeds the walk's depth bound {MAX_DEPTH}")
@@ -136,8 +146,8 @@ def guard(n: int, spec: FamilySpec) -> None:
 def _walk(n: int, spec: FamilySpec) -> dict[int, int]:
     """The number of trees of the family with each degree state, keyed by the packed state.
 
-    Field j of a key (bits 16j and up) counts the vertices of degree j, and
-    the last field, ``root_leaf``, the leaf children of the root.  Attaching
+    Field j of a key (``_layout``) counts the vertices of degree j, and the
+    last field, ``root_leaf``, the leaf children of the root.  Attaching
     a child replaces the parent's state in ``opened`` by those that grow from
     it, and backtracking puts it back.  The last ``_TAIL`` labels come from a
     memo local to the walk, keyed by the labels left and the sorted open
@@ -212,6 +222,7 @@ def tree_weight_poly(n: int, weighting: str, maxdeg: int | None = None) -> Poly:
     """
     spec = default_spec(weighting, maxdeg)
     project = _WEIGHTINGS[weighting][2]
-    fields = range(0, 16 * (n - spec.root + 2), 16)
-    keys = ((tuple([key >> s & 0xFFFF for s in fields]), ways) for key, ways in _walk(n, spec).items())
+    width, fields = _layout(n, spec)
+    shifts, mask = range(0, width * fields, width), (1 << width) - 1
+    keys = ((tuple([key >> s & mask for s in shifts]), ways) for key, ways in _walk(n, spec).items())
     return Poly.from_exponents((project(key[:-1], key[-1], n), ways) for key, ways in keys)

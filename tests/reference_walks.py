@@ -11,13 +11,14 @@ by block insertion; ``tree_walk``, ``trees_gen`` and ``IncTree`` stream the
 increasing trees of a family by leaf insertion.  Each walk keeps the live
 object and its statistic vector and yields both after every last insertion,
 so a test can recompute the statistics from the object and compare them with
-the counting walks of ``eulab.stirlingperm`` and ``eulab.trees`` (``pack``
-writes a vector as their keys).  The size guards are the package's own.
+the counting walks of ``eulab.stirlingperm`` and ``eulab.trees`` (``unpack``
+reads their keys back as vectors).  The size guards are the package's own.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -186,9 +187,17 @@ def word_stats(word: tuple[int, ...], k: int) -> StirlingStats:
     return StirlingStats(asc=asc, des=des, plat=plat, plat_j=tuple(plat_j))
 
 
-def pack(fields) -> int:
-    """A statistic vector as the counting walks key it: 16 bits per field, lowest first."""
-    return sum(c << 16 * j for j, c in enumerate(fields))
+def unpack(counts: dict[int, int], width: int, fields: int) -> Counter:
+    """A counting walk's counts by statistic vector: each key read as ``fields`` fields of ``width`` bits, lowest first.
+
+    A key with bits above its last field is refused, so a layout too narrow for
+    its counts shows as a vector that differs, not as a key that matches.
+    """
+    mask = (1 << width) - 1
+    for key in counts:
+        if key >> width * fields or key < 0:
+            raise ValueError(f"key {key} does not fit {fields} fields of {width} bits")
+    return Counter({tuple(key >> width * j & mask for j in range(fields)): c for key, c in counts.items()})
 
 
 def word_walk(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import eulab.stirlingperm as stirlingperm_mod
 import eulab.trees as trees_mod
 from eulab.errors import InvalidParamError, SizeLimitError
 from eulab.exactalg import MAX_EXPONENT, Poly
@@ -16,7 +17,7 @@ from eulab.trees import (
     tree_count,
     tree_weight_poly,
 )
-from reference_walks import pack, tree_walk, trees_gen
+from reference_walks import tree_walk, trees_gen, unpack
 
 u, v, t, x = Poly.var("u"), Poly.var("v"), Poly.var("t"), Poly.var("x")
 
@@ -173,6 +174,13 @@ def key_from_snapshot(tree, n):
     return (*hist, root_leaves)
 
 
+def decoded(counts, n, spec):
+    """A tree walk's counts by (degree counts 0..n - root, root leaf children), read by the module's layout."""
+    width, fields = trees_mod._layout(n, spec)
+    unreached = (0,) * (n - spec.root + 2 - fields)  # the degrees no vertex of the family reaches
+    return Counter({(*vec[:-1], *unreached, vec[-1]): c for vec, c in unpack(counts, width, fields).items()})
+
+
 FAMILIES = [
     FamilySpec("nonplane", 0),
     FamilySpec("nonplane", 1),
@@ -205,14 +213,14 @@ class TestIncrementalWalk:
     @pytest.mark.parametrize("spec", WALKED, ids=lambda s: f"{s.kind}-{s.maxdeg}")
     def test_counting_walk_matches_reference_walk(self, spec):
         for n in range(spec.root, 8):
-            want = Counter(pack(state) for _, state in tree_walk(n, spec))
-            assert trees_mod._walk(n, spec) == want, n
+            want = Counter(tuple(state) for _, state in tree_walk(n, spec))
+            assert decoded(trees_mod._walk(n, spec), n, spec) == want, n
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.kind}-{s.maxdeg}")
     def test_counting_walk_matches_snapshots(self, spec):
         for n in range(spec.root, 7):
-            want = Counter(pack(key_from_snapshot(tree, n)) for tree in trees_gen(n, spec))
-            assert trees_mod._walk(n, spec) == want, n
+            want = Counter(key_from_snapshot(tree, n) for tree in trees_gen(n, spec))
+            assert decoded(trees_mod._walk(n, spec), n, spec) == want, n
 
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_weights_decode_the_reference_keys(self, weighting):
@@ -259,11 +267,14 @@ class TestIncrementalWalk:
         with pytest.raises(SizeLimitError, match="depth bound"):
             trees_mod._walk(trees_mod.MAX_DEPTH + 1, FamilySpec("plane", 1))
         assert counted == [5, 5, 5]
-        assert trees_mod._walk(3, FamilySpec("plane", None)) == {pack((1, 2, 0, 0)): 1, pack((2, 0, 1, 2)): 2}
+        assert decoded(trees_mod._walk(3, FamilySpec("plane", None)), 3, FamilySpec("plane", None)) == {
+            (1, 2, 0, 0): 1,
+            (2, 0, 1, 2): 2,
+        }
         assert counted == [5, 5, 5, 3]
 
     def test_key_fields_are_checked_before_the_walk(self, monkeypatch):
-        # a field counts at most the n + 1 vertices, so the depth bound keeps every field in range
+        # a vertex count is an m_j exponent: the depth bound keeps the n + 1 vertices below MAX_EXPONENT
         assert trees_mod.MAX_DEPTH + 1 <= MAX_EXPONENT
         depth = trees_mod.MAX_DEPTH
         assert tree_weight_poly(depth, "deghist", 1) == Poly.var("m_1") * Poly.var("m_2") ** (depth - 1)
@@ -299,6 +310,24 @@ class TestIncrementalWalk:
         assert 10**3 < tree_count(60, FamilySpec("plane", None), cap=10**3) < 10**5
         assert tree_count(9, FamilySpec("plane", None), cap=10**7) == 2027025
 
+    @pytest.mark.parametrize("spec", WALKED, ids=lambda s: f"{s.kind}-{s.maxdeg}")
+    def test_guard_reads_every_smaller_size_off_one_count(self, spec, monkeypatch):
+        passes = []
+        states = trees_mod._states
+        monkeypatch.setattr(trees_mod, "_states", lambda n, s: passes.append(n) or states(n, s))
+        trees_mod._sizes.cache_clear()
+        trees_mod.guard(9, spec)  # the range first, as the identities guard it
+        for m in range(spec.root, 10):
+            trees_mod.guard(m, spec)
+        read = [tree_count(m, spec) for m in range(spec.root, 10)]
+        assert passes == [9]
+        alone = []
+        for m in range(spec.root, 10):
+            trees_mod._sizes.cache_clear()
+            alone.append(tree_count(m, spec))
+        assert read == alone
+        assert passes == [9, *range(spec.root + 1, 10)]  # the lone root needs no pass
+
 
 #: the families and depths the oracle-deep benchmark walks, past the range of the tests above
 DEEP_WALKS = [
@@ -312,17 +341,17 @@ DEEP_WALKS = [
 class TestOpenVertexWalk:
     @pytest.mark.parametrize("spec, n", DEEP_WALKS, ids=[f"{s.kind}-{s.maxdeg}-{n}" for s, n in DEEP_WALKS])
     def test_deep_walk_matches_reference_walk(self, spec, n):
-        want = Counter(pack(state) for _, state in tree_walk(n, spec))
-        assert trees_mod._walk(n, spec) == want
+        want = Counter(tuple(state) for _, state in tree_walk(n, spec))
+        assert decoded(trees_mod._walk(n, spec), n, spec) == want
 
     @pytest.mark.parametrize("spec", WALKED, ids=lambda s: f"{s.kind}-{s.maxdeg}")
     def test_memo_depth_does_not_change_the_walk(self, spec, monkeypatch):
         # from the whole walk out of the memo (tail n - root + 1) down to one label from it
         for n in range(spec.root, 8):
-            want = Counter(pack(state) for _, state in tree_walk(n, spec))
+            want = Counter(tuple(state) for _, state in tree_walk(n, spec))
             for tail in range(1, n - spec.root + 2):
                 monkeypatch.setattr(trees_mod, "_TAIL", tail)
-                assert trees_mod._walk.__wrapped__(n, spec) == want, (n, tail)
+                assert decoded(trees_mod._walk.__wrapped__(n, spec), n, spec) == want, (n, tail)
 
     def test_tails_are_read_once_per_prefix_tree(self, monkeypatch):
         # andre n = 10 places labels 8..10 from the memo below each tree on {0..7}, one update each
@@ -345,20 +374,22 @@ class TestOpenVertexWalk:
         assert len(updates) - len(made) == tree_count(7, spec) == 1385
 
     def test_small_families_by_hand(self):
-        walk = trees_mod._walk
-        assert walk(0, FamilySpec("nonplane", 2)) == {1: 1}  # the root alone
-        assert walk(1, FamilySpec("nonplane", 2)) == {pack((1, 1, 1)): 1}  # one leaf child of the root
+        def walk(n, spec):
+            return decoded(trees_mod._walk(n, spec), n, spec)
+
+        assert walk(0, FamilySpec("nonplane", 2)) == {(1, 0): 1}  # the root alone
+        assert walk(1, FamilySpec("nonplane", 2)) == {(1, 1, 1): 1}  # one leaf child of the root
         # a root bound of 0 leaves only the lone root
-        assert walk(0, FamilySpec("nonplane", 0)) == {1: 1}
+        assert walk(0, FamilySpec("nonplane", 0)) == {(1, 0): 1}
         assert walk(1, FamilySpec("nonplane", 0)) == {} and tree_count(1, FamilySpec("nonplane", 0)) == 0
-        assert walk(1, FamilySpec("plane", 0)) == {1: 1}
+        assert walk(1, FamilySpec("plane", 0)) == {(1, 0): 1}
         assert walk(3, FamilySpec("plane", 0)) == {} and tree_count(3, FamilySpec("plane", 0)) == 0
         # plane maxdeg 1: one path on [n], with one leaf and n - 1 vertices of degree 1
         for n in range(1, 8):
-            assert walk(n, FamilySpec("plane", 1)) == {pack((1, n - 1) + (0,) * (n - 2) + (int(n == 2),)): 1}, n
+            assert walk(n, FamilySpec("plane", 1)) == {(1, n - 1)[:n] + (0,) * (n - 2) + (int(n == 2),): 1}, n
         # a plane vertex of degree d offers d + 1 gaps: the two orders of the star on [3], and its chain
-        assert walk(3, FamilySpec("plane", None)) == {pack((2, 0, 1, 2)): 2, pack((1, 2, 0, 0)): 1}
-        assert walk(4, FamilySpec("plane", None))[pack((3, 0, 0, 1, 3))] == 6  # 3! orders of the 3-star
+        assert walk(3, FamilySpec("plane", None)) == {(2, 0, 1, 2): 2, (1, 2, 0, 0): 1}
+        assert walk(4, FamilySpec("plane", None))[(3, 0, 0, 1, 3)] == 6  # 3! orders of the 3-star
 
     def test_saturated_vertices_are_not_visited(self, monkeypatch):
         # no attachment below a vertex at its bound: every state the walk reads offers a position
@@ -374,6 +405,13 @@ class TestOpenVertexWalk:
         trees_mod._walk.cache_clear()
         trees_mod._walk(10, FamilySpec("nonplane", 2))
         assert read and all(table[s][2] for s in read)
+
+    def test_deep_keys_are_one_digit_ints(self):
+        # a CPython int digit holds 30 bits: andre at n = 10 packs 4 fields of 4 bits
+        assert trees_mod._layout(10, FamilySpec("nonplane", 2)) == (4, 4)
+        andre = trees_mod._walk(10, FamilySpec("nonplane", 2))
+        for keys in (andre, stirlingperm_mod._walk(7, 2), stirlingperm_mod._walk(6, 3)):
+            assert keys and max(keys) < 1 << 30
 
 
 def test_size_guard(monkeypatch):
