@@ -9,12 +9,11 @@ iteration, are ``grammar.histogram_rows``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidParamError, NotExpandableError, NotPalindromicError, NotSymmetricError, OutOfRangeError
 from .exactalg import Poly, Rational, elementary_symmetric, sum_of_products
@@ -24,8 +23,7 @@ MAX_TABLE_N = 12
 BASES = ("gamma", "frobenius", "partial-gamma", "esym")
 
 
-@dataclass
-class Expansion:
+class Expansion(NamedTuple):
     """Coefficients of a polynomial in one of the four combinatorial bases.
 
     ``coeffs`` maps index tuples to exact rationals:
@@ -39,7 +37,7 @@ class Expansion:
     coeffs: dict[tuple[int, ...], Rational]
     n: int | None = None
     var: str | None = None
-    variables: tuple[str, ...] = field(default_factory=tuple)
+    variables: tuple[str, ...] = ()
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
@@ -286,8 +284,7 @@ def second_order_poly_from_triangle(n: int) -> Poly:
     return Poly.from_exponents(({"x": j}, triangle("second-order-eulerian", n, j)) for j in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class GammaTable:
+class GammaTable(NamedTuple):
     """One of the two recurrence gamma tables, stored by row: ``values[n]`` is row n.
 
     gamma-nij         values[n] -> {(i, j): gamma_{n,i,j}}

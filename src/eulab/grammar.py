@@ -14,17 +14,15 @@ read off G10 iteration (``histogram_rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import EngineError, InvalidParamError, OutOfRangeError
 from .exactalg import Poly, Rational, derivation, elementary_symmetric
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     """Substitution rules letter -> Poly; letters without a rule derive to 0."""
 
     rules: Mapping[str, Poly]

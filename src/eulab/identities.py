@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import expand, grammar, permstats, stirlingperm, trees
 from .errors import EngineError, InvalidParamError, SizeLimitError, UnknownIdentityError
@@ -33,8 +32,7 @@ Counterexample = dict
 Case = tuple[int, object, object, dict]  # (n, lhs, rhs, extra fields of a counterexample)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     params: dict
     status: str  # "pass" | "fail" | "guard" (a size guard stopped it) | "empty" (max_n below min_n) | "error"
@@ -321,8 +319,7 @@ def _transform_catalog(max_n: int, k: int | None) -> Iterator[Case]:
 CheckFn = Callable[[int, "int | None"], Iterator[Case]]
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     fn: CheckFn
     min_n: int  # smallest n the check covers; a max_n below it is an empty range
     default_max_n: int

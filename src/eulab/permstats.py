@@ -6,10 +6,10 @@ or recurrence routes it is used to check.
 
 S_n is swept once per n.  ``_perm_table(n)`` checks the enumeration guard,
 then makes one prefix walk that records the joint distribution of
-(des, suc, exc, fix, ddes, ipk, pi(1) > 1) together with the counts by
-succession set and by restricted fixed-point set.  Every weight polynomial
-(``perm_poly``), the set profiles (``diaconis_profile``) and the
-(asc, suc) counts (``asc_suc_counts``) are projections of that cached table:
+(des, suc, exc, fix, ddes, ipk) together with the counts by succession set
+and by restricted fixed-point set.  Every weight polynomial (``perm_poly``),
+the set profiles (``diaconis_profile``) and the (asc, suc) counts
+(``asc_suc_counts``) are projections of that cached table:
 ``_project`` sums the counts by each key's exponent tuple, so a family packs
 one monomial per distinct tuple, not one per joint key.
 
@@ -18,14 +18,14 @@ prefixes (Knuth, TAOCP 4A, 7.2.1.2), so each position's statistics are
 settled once per prefix, not once per permutation: placing b at position j
 settles the excedance or fixed point at j, the pair (j-1, j) and the triple
 centred at j-1.  The statistics ride along as one packed int: the joint key,
-4 bits per field, with the succession and fixed-point sets as bitmasks above
-it.  The last ``_TAIL`` positions are placed from a memo local to each
-sweep: for the values left, the value before them and what a descent there
-adds, it lists the packed steps of every way to place them, one element per
-permutation.  Every permutation adds 1 to the count of its joint key and to
-that of its pair of sets, so the route stays exhaustive; the two set
-profiles are summed from the pairs after the walk (990 pairs for S_8's
-40 320 permutations).
+4 bits per field in bits 0-23, with the succession set from bit 24 and the
+fixed-point set from bit 35 as bitmasks above it.  The last ``_TAIL``
+positions are placed from a memo local to each sweep: for the values left,
+the value before them and what a descent there adds, it lists the packed
+steps of every way to place them, one element per permutation.  Every
+permutation adds 1 to the count of its joint key and to that of its pair of
+sets, so the route stays exhaustive; the two set profiles are summed from
+the pairs after the walk (990 pairs for S_8's 40 320 permutations).
 
 Descents/ascents use the boundary-free convention (indices in [n-1]); only
 double descents use the padded convention pi(0) = pi(n+1) = 0, and interior
@@ -62,13 +62,12 @@ class _Key(NamedTuple):
     fix: int
     ddes: int
     ipk: int
-    first_gt_1: bool
 
 
 #: units of the packed joint-table key, 4 bits per field in ``_Key`` order (n <= 10 < 16)
-_DES, _SUC, _EXC, _FIX, _DDES, _IPK, _FIRST_GT_1 = (1 << 4 * i for i in range(7))
-#: a walk's packed int: the joint key in bits 0-27, the succession set from bit 28, the fixed-point set from bit 39
-_SUC_AT, _FIX_AT = 28, 39
+_DES, _SUC, _EXC, _FIX, _DDES, _IPK = (1 << 4 * i for i in range(6))
+#: a walk's packed int: the joint key in bits 0-23, the succession set from bit 24, the fixed-point set from bit 35
+_SUC_AT, _FIX_AT = 24, 35
 _KEY_BITS, _SUC_BITS = (1 << _SUC_AT) - 1, (1 << _FIX_AT - _SUC_AT) - 1
 _FALL = _DES + _DDES  # what a descent adds right after a descent: it makes a double descent
 _TAIL = 3  # positions each sweep places from its memo; one S_8 sweep peaks at 0.6 MB with 3, 1.0 MB with 4
@@ -97,7 +96,7 @@ def _perm_table(n: int) -> _PermTable:
     never carries.  The last ``_TAIL`` positions come from a memo local to
     the sweep, keyed by the values left, a and down: its list holds the
     packed steps of the ways to place them, one element per permutation, so
-    every permutation adds 1 to the count of its joint key (bits 0-27) and
+    every permutation adds 1 to the count of its joint key (bits 0-23) and
     to that of its pair of sets (the bits above), which the walk's end
     splits into the two profiles.
     """
@@ -109,8 +108,8 @@ def _perm_table(n: int) -> _PermTable:
     memo: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
 
     def move(j: int, a: int, b: int) -> int:
-        if b > j:  # an excedance, at j = 1 also pi(1) > 1
-            step = _EXC + (j == 1) * _FIRST_GT_1
+        if b > j:  # an excedance
+            step = _EXC
         else:  # a fixed point, with its bit if j < n
             step = (b == j) * (_FIX + ((j < n) << _FIX_AT + j))
         if a > b:  # and at j = n, pi(n) > pi(n+1) = 0 closes a double descent
@@ -153,10 +152,7 @@ def _perm_table(n: int) -> _PermTable:
         by_suc[s] = by_suc.get(s, 0) + c
         by_fix[f] = by_fix.get(f, 0) + c
     return _PermTable(
-        {
-            _Key(k & 15, k >> 4 & 15, k >> 8 & 15, k >> 12 & 15, k >> 16 & 15, k >> 20 & 15, k >= _FIRST_GT_1): c
-            for k, c in joint.items()
-        },
+        {_Key(k & 15, k >> 4 & 15, k >> 8 & 15, k >> 12 & 15, k >> 16 & 15, k >> 20): c for k, c in joint.items()},
         {_mask_set(m): c for m, c in by_suc.items()},
         {_mask_set(m): c for m, c in by_fix.items()},
     )
@@ -172,8 +168,6 @@ _PROJECTIONS: dict[str, tuple[tuple[str, ...], Callable[[int, _Key], "tuple[int,
     "trivariate": (("x", "y", "s"), lambda n, k: (_asc(n, k) - k.suc, k.des, k.suc)),
     "fixpoint": (("x", "y", "s"), lambda n, k: (k.exc, n - k.exc - k.fix, k.fix)),
     "bivariate": (("x", "y"), lambda n, k: (_asc(n, k), k.des + 1)),
-    "derangement": (("x",), lambda n, k: (k.exc,) if k.fix == 0 else None),
-    "no-succession-first-not-1": (("x",), lambda n, k: (k.des,) if k.suc == 0 and k.first_gt_1 else None),
     "gamma-eulerian-no-ddes": (("x",), lambda n, k: (k.des,) if k.ddes == 0 else None),
     "peak": (("x",), lambda n, k: (k.ipk,)),
 }
@@ -195,14 +189,12 @@ def _project(n: int, exponents: Callable[[int, _Key], "tuple[int, ...] | None"])
 def perm_poly(n: int, family: str) -> Poly:
     """Exact weight-sum over S_n for one of the named statistics families.
 
-    eulerian                   sum x^des
-    trivariate                 sum x^basc y^des s^suc
-    fixpoint                   sum x^exc y^aexc s^fix
-    bivariate                  sum x^asc y^(des+1) for n >= 1, and 1 for n = 0
-    derangement                sum over fixed-point-free pi of x^exc
-    no-succession-first-not-1  sum over {suc = 0, pi(1) > 1} of x^des
-    gamma-eulerian-no-ddes     sum over double-descent-free pi of x^des
-    peak                       sum x^(interior peaks)
+    eulerian                sum x^des
+    trivariate              sum x^basc y^des s^suc
+    fixpoint                sum x^exc y^aexc s^fix
+    bivariate               sum x^asc y^(des+1) for n >= 1, and 1 for n = 0
+    gamma-eulerian-no-ddes  sum over double-descent-free pi of x^des
+    peak                    sum x^(interior peaks)
     """
     if family not in _PROJECTIONS:
         raise InvalidParamError(f"unknown family {family!r}; expected one of {FAMILIES}")

@@ -26,7 +26,6 @@ over multisets of the same states (``tree_count``) until past the 10^7 limit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -40,20 +39,33 @@ _TAIL = 3  # labels each walk places from its memo; andre n = 10 peaks at 176 KB
 KINDS = ("nonplane", "plane", "forest012")
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A tree family: structural kind plus an optional degree bound.
 
     ``maxdeg`` is ignored for forest012 (its bounds are built in).  The
-    vertex set is {0..n} for nonplane and forest012, [n] for plane.
+    vertex set is {0..n} for nonplane and forest012, [n] for plane.  A spec
+    is read-only and equal only to a spec of the same family, since the
+    walks' caches are keyed by it.
     """
 
-    kind: str
-    maxdeg: int | None = None
+    __slots__ = ("_key",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidParamError(f"unknown family kind {self.kind!r}; expected one of {KINDS}")
+    def __init__(self, kind: str, maxdeg: int | None = None) -> None:
+        if kind not in KINDS:
+            raise InvalidParamError(f"unknown family kind {kind!r}; expected one of {KINDS}")
+        self._key = (kind, maxdeg)
+
+    kind = property(lambda self: self._key[0])
+    maxdeg = property(lambda self: self._key[1])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FamilySpec) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"FamilySpec(kind={self.kind!r}, maxdeg={self.maxdeg!r})"
 
     @property
     def root(self) -> int:

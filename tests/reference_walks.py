@@ -129,7 +129,7 @@ def perm_row(p: tuple[int, ...], n: int) -> tuple[tuple, int, int]:
             fell, rose = False, True
     if fell:  # pi(n) > pi(n+1) = 0 completes a double descent at n
         ddes += 1
-    return (des, suc, exc, fix, ddes, ipk, n > 0 and p[0] > 1), suc_mask, fix_mask
+    return (des, suc, exc, fix, ddes, ipk), suc_mask, fix_mask
 
 
 def mask_set(mask: int) -> frozenset[int]:

@@ -4,8 +4,11 @@ import gc
 import inspect
 import json
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +386,17 @@ def test_each_module_imports_only_its_row_of_the_table(name):
     if IMPORT_TABLE[name] is not None:
         imported = package_imports(inspect.getsource(import_module(f"eulab.{name}")))
         assert imported <= IMPORT_TABLE[name], imported - IMPORT_TABLE[name]
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    """Every start of ``eulab`` imports the whole package.  ``dataclasses`` would bring
+    ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it, so no module uses it."""
+    src = str(Path(eulab.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path[:0] = [{src!r}]; import eulab.cli; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "eulab.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()
 
 
 def raised_names(source: str) -> set[str]:

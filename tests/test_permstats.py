@@ -23,6 +23,11 @@ from tuple_kernel import mono_from_exps
 x, y, s = Poly.var("x"), Poly.var("y"), Poly.var("s")
 
 
+def derangement_poly(n):
+    """Sum of x^exc over the fixed-point-free permutations of [n]: the fixpoint family at y = 1, s = 0."""
+    return perm_poly(n, "fixpoint").subst({"y": 1, "s": 0})
+
+
 class TestStats:
     def test_single_descent(self):
         st = stats((2, 1))
@@ -87,14 +92,13 @@ class TestPermPoly:
         assert perm_poly(1, "trivariate") == Poly.one()
         assert perm_poly(1, "fixpoint") == s
         assert perm_poly(1, "bivariate") == y
-        assert not perm_poly(1, "derangement")
-        assert not perm_poly(1, "no-succession-first-not-1")
+        assert not derangement_poly(1)
 
     def test_derangements_of_three(self):
         # oracle: 231 has excedances at 1, 2; 312 has one at 1
         assert stats((2, 3, 1)).exc == 2
         assert stats((3, 1, 2)).exc == 1
-        assert perm_poly(3, "derangement") == x + x**2
+        assert derangement_poly(3) == x + x**2
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParamError):
@@ -116,19 +120,15 @@ class TestPermPoly:
             row = Poly.from_exponents(({"x": k}, triangle("eulerian", n, k)) for k in range(n + 1))
             assert perm_poly(n, "eulerian") == row
 
-    def test_no_succession_equals_derangement_polynomial(self):
-        for n in range(8):
-            assert perm_poly(n, "no-succession-first-not-1") == perm_poly(n, "derangement")
-
     def test_families_against_their_egfs(self):
-        for name, family in (
-            ("bivariate", "bivariate"),
-            ("fixpoint", "fixpoint"),
-            ("derangement", "derangement"),
+        for name, read in (
+            ("bivariate", lambda n: perm_poly(n, "bivariate")),
+            ("fixpoint", lambda n: perm_poly(n, "fixpoint")),
+            ("derangement", derangement_poly),
         ):
             series = egf_build(name, 6)
             for n in range(7):
-                assert series.egf_coefficient(n) == perm_poly(n, family), (name, n)
+                assert series.egf_coefficient(n) == read(n), (name, n)
 
 
 class TestFrobeniusAndGammaInterpretations:
@@ -237,21 +237,19 @@ def _row_as_stats(p, n):
     return key, as_set(suc_mask), as_set(fix_mask)
 
 
-def _stats_as_row(p, n):
+def _stats_as_row(p):
     st = stats(p)
-    key = (st.des, st.suc, st.exc, st.fix, st.ddes, st.ipk, n > 0 and p[0] > 1)
+    key = (st.des, st.suc, st.exc, st.fix, st.ddes, st.ipk)
     return key, st.suc_set, st.fix_set_restricted
 
 
-def _reference_weights(p, st):
+def _reference_weights(st):
     """Exponents of p in every family, read off ``stats`` (None: p is left out)."""
     return {
         "eulerian": {"x": st.des},
         "trivariate": {"x": st.basc, "y": st.des, "s": st.suc},
         "fixpoint": {"x": st.exc, "y": st.aexc, "s": st.fix},
         "bivariate": {"x": st.asc, "y": st.des + 1},
-        "derangement": {"x": st.exc} if st.fix == 0 else None,
-        "no-succession-first-not-1": {"x": st.des} if st.suc == 0 and p[0] > 1 else None,
         "gamma-eulerian-no-ddes": {"x": st.des} if st.ddes == 0 else None,
         "peak": {"x": st.ipk},
     }
@@ -294,7 +292,7 @@ class TestOneSweepTable:
     def test_reference_rows_agree_with_stats(self):
         for n in range(8):
             for p in itertools.permutations(range(1, n + 1)):
-                assert _row_as_stats(p, n) == _stats_as_row(p, n), p
+                assert _row_as_stats(p, n) == _stats_as_row(p), p
 
     def test_projections_match_direct_counting(self):
         for f in FAMILIES:
@@ -305,7 +303,7 @@ class TestOneSweepTable:
             by_suc, by_fix, asc_suc = {}, {}, {}
             for p in itertools.permutations(range(1, n + 1)):
                 st = stats(p)
-                for f, exps in _reference_weights(p, st).items():
+                for f, exps in _reference_weights(st).items():
                     if exps is not None:
                         mono = mono_from_exps(exps)
                         terms[f][mono] = terms[f].get(mono, 0) + 1
