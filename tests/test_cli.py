@@ -42,6 +42,11 @@ class TestVerify:
         assert reports[0]["status"] == "pass"
         assert reports[0]["params"] == {"max_n": 4}
 
+    def test_unknown_identity_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["verify", "nonsense"])
+        assert code == 2
+        assert "unknown identity" in err
+
     def test_table_range_is_a_size_guard(self, capsys):
         # gamma-2n-2n reads histogram row max_n + 1, past the table guard: an OutOfRangeError
         code, out, err = run(capsys, ["verify", "gamma-2n-2n", "--max-n", "12", "--json"])
@@ -395,6 +400,12 @@ class TestTable:
         assert out == ""
         assert err.startswith("size guard:")
 
+    def test_negative_n_is_rejected(self, capsys):
+        code, out, err = run(capsys, ["table", "eulerian", "--n", "-3", "--format", "json"])
+        assert code == 4
+        assert out == ""
+        assert "--n must be >= 0" in err
+
 
 class TestExpand:
     def test_gamma_expansion_of_quartic(self, capsys, monkeypatch):
@@ -435,6 +446,21 @@ class TestExpand:
         result = json.loads(out)
         assert result["e_positive"] is True
         assert result["coeffs"] == [{"index": [0, 1, 1], "coeff": "1"}]
+
+    def test_parse_error_exit_code(self, capsys, monkeypatch):
+        code, _, err = run(capsys, ["expand", "gamma"], stdin="not json", monkeypatch=monkeypatch)
+        assert code == 4
+
+    def test_exponent_above_the_limit_exit_code(self, capsys, monkeypatch):
+        payload = json.dumps([{"coeff": "1", "exponents": {"x_1": MAX_EXPONENT + 1}}])
+        code, _, err = run(capsys, ["expand", "esym"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 4
+        assert "limit" in err
+
+    def test_precondition_error_exit_code(self, capsys, monkeypatch):
+        payload = (1 + 2 * x).to_json()
+        code, _, err = run(capsys, ["expand", "gamma"], stdin=payload, monkeypatch=monkeypatch)
+        assert code == 4
 
     def test_byte_identical_expand(self, capsys, monkeypatch):
         payload = perm_poly(5, "trivariate").to_json()
